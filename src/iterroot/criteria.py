@@ -6,14 +6,22 @@ hypotheses; when the base hypotheses hold the multifunction has no roots
 of any order n >= 2 inside a degree-bounded class, and with two extra
 hypotheses no roots at all.  The inverse rules are, by construction,
 the forward rules applied to the edge-reversed graph.
+
+Q is read in closed form off the inverse-image bitmasks ``preds`` of G, where
+G is F for the forward rules and ``invert(F)`` for the inverse ones.  The path
+rules count 2-paths into x0, Q = sum of indeg(y) over y in preds[x0]; the point
+rules count 2-step preimages, Q = |union of preds[y] over y in preds[x0]|.  The
+view of one direction (``profile(G)`` plus ``preds``) costs O(size + edges) to
+build, and all witnesses of one rule then cost O(size + edges) mask operations.
+Dense matrix powers (``paths.path_matrix``) and ``iterate`` are test oracles only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .core import Multifunction, invert, iterate, profile
-from .paths import path_matrix
+from .core import Multifunction, StructuralProfile, bits, invert, profile
 
 
 class Rule(str, Enum):
@@ -39,12 +47,10 @@ _CITATIONS = {
     Rule.INVERSE_POINTS: "two-step image concentration on the reversed graph (point form)",
 }
 
-_CLASSES = {
-    Rule.FORWARD_PATHS: "max-out-degree",
-    Rule.FORWARD_POINTS: "max-out-degree",
-    Rule.INVERSE_PATHS: "max-in-degree",
-    Rule.INVERSE_POINTS: "max-in-degree",
-}
+_INVERSE_RULES = frozenset({Rule.INVERSE_PATHS, Rule.INVERSE_POINTS})
+_PATH_RULES = frozenset({Rule.FORWARD_PATHS, Rule.INVERSE_PATHS})
+
+_View = tuple[StructuralProfile, tuple[int, ...], Callable[[int], int]]
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,53 @@ class Certificate:
         return self.conclusion is not Conclusion.NOT_APPLICABLE
 
 
+def _view(F: Multifunction, inverse: bool) -> _View:
+    """One direction G of F (F itself, or invert(F) when ``inverse``): its
+    profile, the inverse image of each point, and x0 -> the largest in-degree
+    of G away from x0 (0 on a one-point ground), from the two largest ones."""
+    inv = invert(F)
+    G, preds = (inv, F.images) if inverse else (F, inv.images)
+    prof = profile(G)
+    indeg, top = prof.in_degrees, prof.max_in_degree
+    top_at = indeg.index(top)
+    second = max(indeg[:top_at] + indeg[top_at + 1:], default=0)
+    return prof, preds, lambda x0: second if x0 == top_at else top
+
+
+def _check(view: _View, rule: Rule, x0: int, M: int, N: int) -> Certificate:
+    prof, preds, n_max_at = view
+    size = len(preds)
+    if rule in _PATH_RULES:
+        Q = sum(prof.in_degrees[y] for y in bits(preds[x0]))
+    else:
+        union = 0
+        for y in bits(preds[x0]):
+            union |= preds[y]
+        Q = union.bit_count()
+    n_max = n_max_at(x0)
+    hyps = {
+        "totality": len(prof.domain) == size,
+        "x0_not_fixed": x0 not in prof.fixed_membership,
+        "Q_exceeds_MN3": Q > M * N**3,
+        "N_bound_holds": n_max <= N,
+        "class_membership": prof.max_out_degree <= M,
+        "surjectivity_or_totality_extra": len(prof.image) == size,
+    }
+    failed = tuple(name for name, held in hyps.items() if not held)
+    if any(name in BASE_HYPOTHESES for name in failed):
+        conclusion = Conclusion.NOT_APPLICABLE
+    elif failed:
+        conclusion = Conclusion.NO_ROOTS_IN_CLASS
+    else:
+        conclusion = Conclusion.NO_ROOTS_AT_ALL
+    return Certificate(
+        rule=rule, x0=x0, M=M, N=N, measured_Q=Q, measured_N_max=n_max,
+        hypotheses=tuple(hyps.items()), conclusion=conclusion, failed_hypotheses=failed,
+        root_class="max-in-degree" if rule in _INVERSE_RULES else "max-out-degree",
+        citation=_CITATIONS[rule],
+    )
+
+
 def _validate(F: Multifunction, x0: int, M: int, N: int) -> None:
     if not 0 <= x0 < F.ground.size:
         raise ValueError(f"witness point {x0} out of range")
@@ -85,81 +138,28 @@ def _validate(F: Multifunction, x0: int, M: int, N: int) -> None:
         raise ValueError("bounds M and N must be positive")
 
 
-def _conclude(rule: Rule, x0: int, M: int, N: int, Q: int, n_max: int,
-              base: dict[str, bool], extra: dict[str, bool]) -> Certificate:
-    failed_base = tuple(name for name in BASE_HYPOTHESES if not base[name])
-    failed_extra = tuple(name for name in EXTRA_HYPOTHESES if not extra[name])
-    if failed_base:
-        conclusion = Conclusion.NOT_APPLICABLE
-    elif failed_extra:
-        conclusion = Conclusion.NO_ROOTS_IN_CLASS
-    else:
-        conclusion = Conclusion.NO_ROOTS_AT_ALL
-    hyps = tuple(base.items()) + tuple(extra.items())
-    return Certificate(
-        rule=rule, x0=x0, M=M, N=N, measured_Q=Q, measured_N_max=n_max,
-        hypotheses=hyps, conclusion=conclusion,
-        failed_hypotheses=failed_base + failed_extra,
-        root_class=_CLASSES[rule], citation=_CITATIONS[rule],
-    )
-
-
 def check_forward_paths(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """Two-path count into x0 versus in-degree bound N elsewhere."""
     _validate(F, x0, M, N)
-    prof = profile(F)
-    size = F.ground.size
-    entries = path_matrix(F, 2).entries
-    Q = sum(entries[x][x0] for x in range(size))
-    n_max = max((prof.in_degrees[x] for x in range(size) if x != x0), default=0)
-    base = {
-        "totality": len(prof.domain) == size,
-        "x0_not_fixed": x0 not in prof.fixed_membership,
-        "Q_exceeds_MN3": Q > M * N**3,
-        "N_bound_holds": n_max <= N,
-    }
-    extra = {
-        "class_membership": prof.max_out_degree <= M,
-        "surjectivity_or_totality_extra": len(prof.image) == size,
-    }
-    return _conclude(Rule.FORWARD_PATHS, x0, M, N, Q, n_max, base, extra)
+    return _check(_view(F, inverse=False), Rule.FORWARD_PATHS, x0, M, N)
 
 
 def check_forward_points(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """Two-step preimage size at x0 versus in-degree bound N elsewhere."""
     _validate(F, x0, M, N)
-    prof = profile(F)
-    size = F.ground.size
-    F2 = iterate(F, 2)
-    Q = sum(1 for x in range(size) if F2.images[x] >> x0 & 1)
-    n_max = max((prof.in_degrees[x] for x in range(size) if x != x0), default=0)
-    base = {
-        "totality": len(prof.domain) == size,
-        "x0_not_fixed": x0 not in prof.fixed_membership,
-        "Q_exceeds_MN3": Q > M * N**3,
-        "N_bound_holds": n_max <= N,
-    }
-    extra = {
-        "class_membership": prof.max_out_degree <= M,
-        "surjectivity_or_totality_extra": len(prof.image) == size,
-    }
-    return _conclude(Rule.FORWARD_POINTS, x0, M, N, Q, n_max, base, extra)
+    return _check(_view(F, inverse=False), Rule.FORWARD_POINTS, x0, M, N)
 
 
 def check_inverse_paths(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """The forward path rule applied to the edge-reversed graph of F."""
-    cert = check_forward_paths(invert(F), x0, M, N)
-    return replace(cert, rule=Rule.INVERSE_PATHS,
-                   root_class=_CLASSES[Rule.INVERSE_PATHS],
-                   citation=_CITATIONS[Rule.INVERSE_PATHS])
+    _validate(F, x0, M, N)
+    return _check(_view(F, inverse=True), Rule.INVERSE_PATHS, x0, M, N)
 
 
 def check_inverse_points(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """The forward point rule applied to the edge-reversed graph of F."""
-    cert = check_forward_points(invert(F), x0, M, N)
-    return replace(cert, rule=Rule.INVERSE_POINTS,
-                   root_class=_CLASSES[Rule.INVERSE_POINTS],
-                   citation=_CITATIONS[Rule.INVERSE_POINTS])
+    _validate(F, x0, M, N)
+    return _check(_view(F, inverse=True), Rule.INVERSE_POINTS, x0, M, N)
 
 
 CHECKERS = {
@@ -174,20 +174,19 @@ RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.
 
 def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
     """Smallest admissible N: the largest relevant per-point 1-count away from x0."""
-    prof = profile(F)
-    counts = prof.in_degrees if rule in (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS) else prof.out_degrees
-    return max(1, max((counts[x] for x in range(F.ground.size) if x != x0), default=1))
+    return max(1, _view(F, rule in _INVERSE_RULES)[2](x0))
 
 
 def scan(F: Multifunction, M: int) -> list[Certificate]:
     """All firing certificates for the given class bound M, at the minimal N per witness."""
     if M < 1:
         raise ValueError("class bound M must be positive")
+    views = {inverse: _view(F, inverse) for inverse in (False, True)}
     found = []
     for rule in RULE_ORDER:
-        checker = CHECKERS[rule]
+        view = views[rule in _INVERSE_RULES]
         for x0 in range(F.ground.size):
-            cert = checker(F, x0, M, minimal_N(F, rule, x0))
+            cert = _check(view, rule, x0, M, max(1, view[2](x0)))
             if cert.fires:
                 found.append(cert)
     return found

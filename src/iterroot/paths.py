@@ -1,9 +1,10 @@
 """Exact counting of fixed-length paths (walks) in the graph of a multifunction.
 
 Counts are Python integers, hence arbitrary precision: powers of dense
-adjacency matrices exceed 64 bits quickly and the certificate comparisons
-must stay exact.  A recursive enumeration counter is provided as an
-independent cross-check for small path lengths.
+adjacency matrices exceed 64 bits quickly and the counts must stay exact.
+``path_matrix`` backs the ``paths`` command and is the test oracle for the
+closed-form certificate counts in ``criteria``.  A recursive enumeration
+counter is provided as an independent cross-check for small path lengths.
 """
 from __future__ import annotations
 
@@ -11,9 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import GroundSet, Multifunction, bits
-
-# direct multiplication is cheaper than squaring for very short paths
-_SQUARING_THRESHOLD = 4
 
 Matrix = list[list[int]]
 
@@ -46,25 +44,22 @@ class PathCountMatrix:
 
 
 def path_matrix(F: Multifunction, k: int) -> PathCountMatrix:
-    """The k-th power of the 0/1 adjacency matrix of the graph of F."""
+    """The k-th power of the 0/1 adjacency matrix of the graph of F.
+
+    Binary exponentiation that starts from the adjacency matrix itself, so
+    k = 2 costs one product and k = 0 is the identity.
+    """
     if k < 0:
         raise ValueError("path length must be nonnegative")
-    size = F.ground.size
-    if k <= _SQUARING_THRESHOLD:
-        M = _identity(size)
-        A = _adjacency(F)
-        for _ in range(k):
-            M = _matmul(M, A)
-    else:
-        M = _identity(size)
-        A = _adjacency(F)
-        e = k
-        while e:
-            if e & 1:
-                M = _matmul(M, A)
-            e >>= 1
-            if e:
-                A = _matmul(A, A)
+    M = _identity(F.ground.size) if k == 0 else None
+    A = _adjacency(F)
+    e = k
+    while e:
+        if e & 1:
+            M = A if M is None else _matmul(M, A)
+        e >>= 1
+        if e:
+            A = _matmul(A, A)
     return PathCountMatrix(F.ground, k, tuple(tuple(row) for row in M))
 
 

@@ -3,14 +3,14 @@
 Exact rules (degree, primality, and the modular power criterion for pure
 power maps) use integer arithmetic only.  The two structural rules match
 coefficients numerically and report the tolerance they used.  Advice only
-ever asserts nonexistence: an empty findings list claims nothing.
+ever asserts nonexistence: an empty findings list claims nothing.  numpy
+is imported inside the functions that use it, so that importing the package
+or starting the CLI does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .fixedpoint import OrderExclusion
 
@@ -112,17 +112,10 @@ class PolyAdvice:
 _ALL_ORDERS = OrderExclusion(1, None, "all-orders")
 
 
-def _cluster_count(values: Sequence[complex], tol: float) -> int:
-    """Count distinct values after greedy clustering at absolute tolerance."""
-    reps: list[complex] = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        if not any(abs(v - r) <= tol for r in reps):
-            reps.append(v)
-    return len(reps)
-
-
 def polynomial_roots(poly: ComplexPolynomial) -> list[complex]:
     """Roots via the companion matrix (numpy), high-degree polynomials included."""
+    import numpy as np
+
     if poly.degree == 0:
         return []
     high_first = list(reversed(poly.coefficients))
@@ -165,6 +158,8 @@ def _coeffs_close(a: Sequence[complex], b: Sequence[complex], tol: float) -> boo
 
 def _expand_shifted_monomial(alpha: complex, beta: complex, d: int) -> list[complex]:
     # alpha * (z - beta)^d + beta, low degree first
+    import numpy as np
+
     base = np.array([-beta, 1.0], dtype=complex)
     expanded = np.array([1.0 + 0j])
     for _ in range(d):
@@ -194,6 +189,8 @@ def conjugate_to_special_cubic(poly: ComplexPolynomial,
     cubic p above; both scale roots are tried and coefficients matched."""
     if poly.degree != 3:
         return False
+    import numpy as np
+
     c = list(poly.coefficients)  # c0..c3
     a0 = complex(np.sqrt(1 / c[3]))  # leading coefficient of h o p o h^-1 is 1/a^2
     for a in (a0, -a0):

@@ -27,16 +27,22 @@ class PullbackWitness:
     failed_conditions: frozenset[str]
 
 
+def _union_and_disjointness(masks: tuple[int, ...]) -> tuple[int, bool]:
+    """The union of the masks, and whether they are pairwise disjoint."""
+    seen = 0
+    disjoint = True
+    for m in masks:
+        if seen & m:
+            disjoint = False
+        seen |= m
+    return seen, disjoint
+
+
 def is_pullback(F: Multifunction) -> PullbackWitness:
     """Decide pullback membership; failures are reported, never raised."""
     size = F.ground.size
     failed = set()
-    seen = 0
-    disjoint = True
-    for m in F.images:
-        if seen & m:
-            disjoint = False
-        seen |= m
+    seen, disjoint = _union_and_disjointness(F.images)
     if not disjoint:
         failed.add("disjointness")
     if seen != F.ground.full_mask:
@@ -87,12 +93,7 @@ def decomposition_check(F: Multifunction, G1: Multifunction, G2: Multifunction,
     if failed:
         return DecompositionReport(False, tuple(failed))
     im_g1_full = len(profile(G1).image) == F.ground.size
-    seen = 0
-    disjoint = True
-    for m in G2.images:
-        if seen & m:
-            disjoint = False
-        seen |= m
+    _, disjoint = _union_and_disjointness(G2.images)
     root_is_pullback = is_pullback(root).is_pullback if root is not None else None
     return DecompositionReport(True, (), im_g1_full, disjoint, root_is_pullback)
 

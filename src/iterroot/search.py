@@ -181,7 +181,8 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
     elapsed = time.perf_counter() - start
     if found:
         witness = Multifunction(F.ground, tuple(imgs))
-        assert equals(iterate(witness, n), F)
+        if not equals(iterate(witness, n), F):
+            raise RuntimeError(f"search witness is not an order-{n} root of the target")
         return SearchResult(n, constraint, "witness", witness, nodes, budget, elapsed)
     return SearchResult(n, constraint, "exhausted", None, nodes, budget, elapsed)
 
@@ -243,6 +244,7 @@ def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
     elapsed = time.perf_counter() - start
     if found:
         witness = SingleMap(f.ground, tuple(g))
-        assert iterate_map(witness, n) == f
+        if iterate_map(witness, n) != f:
+            raise RuntimeError(f"search witness is not an order-{n} root of the target")
         return SearchResult(n, None, "witness", witness, nodes, budget, elapsed)
     return SearchResult(n, None, "exhausted", None, nodes, budget, elapsed)

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
-from iterroot.core import identity_multifunction, invert
+from iterroot.core import identity_multifunction, invert, iterate, profile
 from iterroot.criteria import (
+    BASE_HYPOTHESES,
     CHECKERS,
+    EXTRA_HYPOTHESES,
+    RULE_ORDER,
+    Certificate,
     Conclusion,
     Rule,
     check_forward_paths,
@@ -13,6 +19,7 @@ from iterroot.criteria import (
     scan,
 )
 from iterroot.instances import f1, f2, random_multifunction
+from iterroot.paths import path_matrix
 
 
 def test_f1_forward_paths_fires_in_class():
@@ -176,3 +183,107 @@ def test_scan_orders_by_rule_then_witness():
         certs = scan(F, 2)
         keys = [(list(Rule).index(c.rule), c.x0) for c in certs]
         assert keys == sorted(keys)
+
+
+# Reference: the dense checkers the closed forms replaced.  Q is read off
+# the full two-step path matrix or the second iterate of G, where G is F
+# for the forward rules and its edge reversal for the inverse rules.
+
+_DENSE_CITATIONS = {
+    Rule.FORWARD_PATHS: "two-path concentration at a non-fixed point (path form)",
+    Rule.FORWARD_POINTS: "two-step preimage concentration at a non-fixed point (point form)",
+    Rule.INVERSE_PATHS: "two-path concentration on the reversed graph (path form)",
+    Rule.INVERSE_POINTS: "two-step image concentration on the reversed graph (point form)",
+}
+
+
+def _dense_direction(F, inverse):
+    G = invert(F) if inverse else F
+    size = G.ground.size
+    entries = path_matrix(G, 2).entries
+    G2 = iterate(G, 2)
+    q_paths = [sum(entries[x][x0] for x in range(size)) for x0 in range(size)]
+    q_points = [sum(1 for x in range(size) if G2.images[x] >> x0 & 1) for x0 in range(size)]
+    return profile(G), q_paths, q_points
+
+
+def _dense_certificate(dense, rule, x0, M, N):
+    inverse = rule in (Rule.INVERSE_PATHS, Rule.INVERSE_POINTS)
+    prof, q_paths, q_points = dense[inverse]
+    size = len(q_paths)
+    Q = (q_paths if rule in (Rule.FORWARD_PATHS, Rule.INVERSE_PATHS) else q_points)[x0]
+    n_max = max((prof.in_degrees[x] for x in range(size) if x != x0), default=0)
+    base = {
+        "totality": len(prof.domain) == size,
+        "x0_not_fixed": x0 not in prof.fixed_membership,
+        "Q_exceeds_MN3": Q > M * N**3,
+        "N_bound_holds": n_max <= N,
+    }
+    extra = {
+        "class_membership": prof.max_out_degree <= M,
+        "surjectivity_or_totality_extra": len(prof.image) == size,
+    }
+    failed_base = tuple(name for name in BASE_HYPOTHESES if not base[name])
+    failed_extra = tuple(name for name in EXTRA_HYPOTHESES if not extra[name])
+    if failed_base:
+        conclusion = Conclusion.NOT_APPLICABLE
+    elif failed_extra:
+        conclusion = Conclusion.NO_ROOTS_IN_CLASS
+    else:
+        conclusion = Conclusion.NO_ROOTS_AT_ALL
+    return Certificate(
+        rule=rule, x0=x0, M=M, N=N, measured_Q=Q, measured_N_max=n_max,
+        hypotheses=tuple(base.items()) + tuple(extra.items()), conclusion=conclusion,
+        failed_hypotheses=failed_base + failed_extra,
+        root_class="max-in-degree" if inverse else "max-out-degree",
+        citation=_DENSE_CITATIONS[rule],
+    )
+
+
+def _dense_minimal_N(F, rule, x0):
+    prof = profile(F)
+    counts = prof.in_degrees if rule in (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS) \
+        else prof.out_degrees
+    return max(1, max((counts[x] for x in range(F.ground.size) if x != x0), default=1))
+
+
+def _reference_instances():
+    yield from (f1(d) for d in range(3, 7))
+    yield from (invert(f1(d)) for d in range(3, 7))
+    yield from (f2(d) for d in range(2, 5))
+    yield from (invert(f2(d)) for d in range(2, 5))
+    rng = random.Random(20221211)
+    for seed in range(320):
+        # partial domains, non-surjective images and self-loops all occur
+        yield random_multifunction(rng.randint(1, 8), seed,
+                                   max_out_degree=rng.choice((None, 1, 2, 3)),
+                                   density=rng.choice((0.15, 0.3, 0.5, 0.7)))
+
+
+def test_closed_form_certificates_equal_the_dense_reference():
+    fired = dict.fromkeys(Rule, 0)
+    partial = non_surjective = looped = 0
+    for F in _reference_instances():
+        size = F.ground.size
+        dense = {inverse: _dense_direction(F, inverse) for inverse in (False, True)}
+        prof = dense[False][0]
+        partial += len(prof.domain) < size
+        non_surjective += len(prof.image) < size
+        looped += bool(prof.fixed_membership)
+        for rule in RULE_ORDER:
+            for x0 in range(size):
+                N = _dense_minimal_N(F, rule, x0)
+                assert minimal_N(F, rule, x0) == N
+                for M in (1, 2):
+                    for n in {1, N}:
+                        assert CHECKERS[rule](F, x0, M, n) == \
+                            _dense_certificate(dense, rule, x0, M, n)
+        for M in (1, 2, 3):
+            expected = [cert for rule in RULE_ORDER for x0 in range(size)
+                        if (cert := _dense_certificate(
+                            dense, rule, x0, M, _dense_minimal_N(F, rule, x0))).fires]
+            assert scan(F, M) == expected
+            for cert in expected:
+                fired[cert.rule] += 1
+    assert all(count > 0 for count in fired.values()), fired
+    assert min(partial, non_surjective, looped) > 0

@@ -190,3 +190,16 @@ def test_unconstrained_search_on_constant_map():
     result = find_multi_root(f.as_multifunction(), 2)
     assert result.found
     assert equals_square(result.witness, f.as_multifunction())
+
+
+def test_witness_checks_raise_when_the_root_identity_fails(monkeypatch):
+    # the final witness checks must not be assertions, which python -O strips
+    from iterroot import search
+    ground = GroundSet(("a", "b", "c"))
+    monkeypatch.setattr(search, "iterate", lambda G, n: Multifunction(G.ground, (0, 0, 0)))
+    with pytest.raises(RuntimeError, match="not an order-2 root"):
+        find_multi_root(identity_multifunction(ground), 2)
+    monkeypatch.setattr(search, "iterate_map",
+                        lambda g, n: SingleMap(g.ground, (1, 2, 0)))
+    with pytest.raises(RuntimeError, match="not an order-2 root"):
+        find_single_root(identity_map(ground), 2)
