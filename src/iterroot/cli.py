@@ -76,21 +76,16 @@ def cmd_check(args) -> int:
     if args.rule == "scan":
         certs = criteria.scan(F, args.M)
     else:
-        rule = criteria.Rule(args.rule)
-        checker = criteria.CHECKERS[rule]
         if args.x0 is not None:
             try:
                 points = [ground.index(args.x0)]
             except KeyError as exc:
                 raise InputError(str(exc)) from exc
         else:
-            points = list(range(ground.size))
-        certs = []
-        for x0 in points:
-            N = args.N if args.N is not None else criteria.minimal_N(F, rule, x0)
-            cert = checker(F, x0, args.M, N)
-            if cert.fires or args.x0 is not None:
-                certs.append(cert)
+            points = range(ground.size)
+        certs = [cert for cert in criteria.check_rule(F, criteria.Rule(args.rule), args.M,
+                                                      points, args.N)
+                 if cert.fires or args.x0 is not None]
     if args.json:
         print(json.dumps({"certificates": [_certificate_json(ground, c) for c in certs]},
                          indent=2, sort_keys=True))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import Multifunction, StructuralProfile, bits, invert, profile
 
@@ -138,28 +138,39 @@ def _validate(F: Multifunction, x0: int, M: int, N: int) -> None:
         raise ValueError("bounds M and N must be positive")
 
 
+def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int],
+               N: int | None = None) -> list[Certificate]:
+    """Certificates of one rule at each witness point, all from one view of F.
+
+    N defaults to the minimal N of each point.
+    """
+    view = _view(F, rule in _INVERSE_RULES)
+    certs = []
+    for x0 in points:
+        bound = N if N is not None else max(1, view[2](x0))
+        _validate(F, x0, M, bound)
+        certs.append(_check(view, rule, x0, M, bound))
+    return certs
+
+
 def check_forward_paths(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """Two-path count into x0 versus in-degree bound N elsewhere."""
-    _validate(F, x0, M, N)
-    return _check(_view(F, inverse=False), Rule.FORWARD_PATHS, x0, M, N)
+    return check_rule(F, Rule.FORWARD_PATHS, M, [x0], N)[0]
 
 
 def check_forward_points(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """Two-step preimage size at x0 versus in-degree bound N elsewhere."""
-    _validate(F, x0, M, N)
-    return _check(_view(F, inverse=False), Rule.FORWARD_POINTS, x0, M, N)
+    return check_rule(F, Rule.FORWARD_POINTS, M, [x0], N)[0]
 
 
 def check_inverse_paths(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """The forward path rule applied to the edge-reversed graph of F."""
-    _validate(F, x0, M, N)
-    return _check(_view(F, inverse=True), Rule.INVERSE_PATHS, x0, M, N)
+    return check_rule(F, Rule.INVERSE_PATHS, M, [x0], N)[0]
 
 
 def check_inverse_points(F: Multifunction, x0: int, M: int, N: int) -> Certificate:
     """The forward point rule applied to the edge-reversed graph of F."""
-    _validate(F, x0, M, N)
-    return _check(_view(F, inverse=True), Rule.INVERSE_POINTS, x0, M, N)
+    return check_rule(F, Rule.INVERSE_POINTS, M, [x0], N)[0]
 
 
 CHECKERS = {

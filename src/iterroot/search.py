@@ -6,13 +6,30 @@ values, so the first witness found is the canonically least one and results
 are deterministic.  Pruning uses two sound filters: decided parts of the
 n-step orbit must stay inside the target image (with equality once fully
 decided), and any root must commute with the target.
+
+The checks are incremental.  Depth i is reached only after the points
+0..i-1 passed every check, and a check can change only if it involves the
+newly decided point i, so at depth i only these are re-checked:
+
+- commutation at i, and at the earlier x with i in F(x) (from F inverted);
+  these depend on the earlier points alone except for G(i), so they become
+  per-depth bounds on the candidate image (a set of allowed values for a map);
+- the orbit of every decided x whose walk through decided points meets i
+  within n - 1 steps, i itself included.  The multi-map search finds these x
+  by a reverse walk from i over the edges of the earlier points and re-walks
+  each orbit; the single-map search walks forward from i once, and a point
+  that first meets i after k steps ends at step n - k of that walk.
+
+A search therefore explores exactly the nodes that a full re-check of every
+decided point at every node would explore.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .core import Multifunction, SingleMap, bits, equals, iterate, iterate_map
+from .core import Multifunction, SingleMap, bits, equals, invert, iterate, iterate_map
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -79,45 +96,20 @@ def _cap_for(constraint: RootConstraint) -> int:
     return _MULTI_CAP_UNCONSTRAINED
 
 
-def _consistent(imgs: list[int], decided: int, fimgs: tuple[int, ...], n: int) -> bool:
-    """Sound check of the prefix assignment imgs[0:decided] against the target.
+def _union(images: list[int] | tuple[int, ...], mask: int) -> int:
+    """The union of images[y] over the points y of mask."""
+    out = 0
+    for y in bits(mask):
+        out |= images[y]
+    return out
 
-    Decided-path contributions to the n-step image are a lower bound of the
-    eventual value, so they must lie inside the target image, with equality
-    once every level of the orbit is decided.  The commutation of a root
-    with its power is enforced the same way.
-    """
-    dmask = (1 << decided) - 1
-    for x in range(decided):
-        cur = 1 << x
-        complete = True
-        for _ in range(n):
-            if cur & ~dmask:
-                complete = False
-            nxt = 0
-            for y in bits(cur & dmask):
-                nxt |= imgs[y]
-            cur = nxt
-        if complete:
-            if cur != fimgs[x]:
-                return False
-        elif cur & ~fimgs[x]:
-            return False
-        # commutation filter: the two compositions of the root with the
-        # target are both equal to the (n+1)-st power of the root
-        fg = 0
-        for y in bits(imgs[x]):
-            fg |= fimgs[y]
-        fx = fimgs[x]
-        gf = 0
-        for y in bits(fx & dmask):
-            gf |= imgs[y]
-        if fx & ~dmask:
-            if gf & ~fg:
-                return False
-        elif gf != fg:
-            return False
-    return True
+
+def _candidates(size: int, constraint: RootConstraint) -> list[int]:
+    """Candidate image masks in size-then-value order, one popcount level at a time."""
+    lowest = 1 if constraint.require_total_domain else 0
+    highest = min(constraint.bound, size) if constraint.variant == MAX_OUT_VARIANT else size
+    return [m for k in range(lowest, highest + 1)
+            for m in sorted(sum(1 << j for j in c) for c in combinations(range(size), k))]
 
 
 def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCONSTRAINED,
@@ -134,43 +126,79 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
             f"ground of {size} points exceeds the cap {cap} for this constraint class; "
             "pass max_points to override")
 
-    full = F.ground.full_mask
-    candidates = sorted(range(full + 1), key=lambda m: (m.bit_count(), m))
-    if constraint.variant == MAX_OUT_VARIANT:
-        candidates = [m for m in candidates if m.bit_count() <= constraint.bound]
-    if constraint.require_total_domain:
-        candidates = [m for m in candidates if m]
+    candidates = _candidates(size, constraint)
     in_bound = constraint.bound if constraint.variant == MAX_IN_VARIANT else None
+    fimgs = F.images
+    fpreds = invert(F).images
+    # per candidate m: its points, and F(m) for the commutation check at i
+    table = [(m, tuple(bits(m)), _union(fimgs, m)) for m in candidates]
 
     start = time.perf_counter()
     imgs = [0] * size
-    indeg = [0] * size
+    preds = [0] * size  # at depth i, preds[y] holds the points x < i with y in imgs[x]
     nodes = 0
+
+    def orbit_fits(x: int, decided: int) -> bool:
+        # the n-step walks from x through decided points are a lower bound of
+        # G^n(x), and they are all of it once no walk leaves the decided points
+        cur = 1 << x
+        complete = True
+        for _ in range(n):
+            if cur & ~decided:
+                complete = False
+            cur = _union(imgs, cur & decided)
+        return cur == fimgs[x] if complete else not cur & ~fimgs[x]
 
     def rec(i: int) -> bool:
         nonlocal nodes
         if i == size:
             return True
-        for m in candidates:
+        bit = 1 << i
+        earlier = bit - 1
+        decided = earlier | bit
+        # Commutation G(F(x)) = F(G(x)) at the earlier x with i in F(x): only
+        # G(i) joins G(F(x)), whose other part already lies in F(G(x)).  So
+        # G(i) must lie in F(G(x)), and once F(x) is decided it must also
+        # cover what the other part misses.
+        upper, lower = ~0, 0
+        for x in bits(fpreds[i] & earlier):
+            fg = _union(fimgs, imgs[x])
+            upper &= fg
+            if not fimgs[x] & ~decided:
+                lower |= fg & ~_union(imgs, fimgs[x] & earlier)
+        # commutation at i itself, against F(G(i)) from the table
+        fi = fimgs[i]
+        gf_rest = _union(imgs, fi & earlier)
+        loops = fi & bit
+        fi_decided = not fi & ~decided
+        # orbits: only the points whose decided walk meets i within n - 1
+        # steps can change, and those walks use no edge of i before they meet it
+        reach = frontier = bit
+        for _ in range(n - 1):
+            frontier = _union(preds, frontier) & ~reach
+            if not frontier:
+                break
+            reach |= frontier
+        affected = tuple(bits(reach))
+        for m, points, fg in table:
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
-            if in_bound is not None:
-                ok = True
-                for y in bits(m):
-                    indeg[y] += 1
-                    if indeg[y] > in_bound:
-                        ok = False
-                if not ok:
-                    for y in bits(m):
-                        indeg[y] -= 1
-                    continue
+            if m & ~upper or lower & ~m:
+                continue
+            gf = gf_rest | m if loops else gf_rest
+            if (gf != fg) if fi_decided else (gf & ~fg):
+                continue
+            if in_bound is not None and any(preds[y].bit_count() >= in_bound for y in points):
+                continue
             imgs[i] = m
-            if _consistent(imgs, i + 1, F.images, n) and rec(i + 1):
-                return True
-            if in_bound is not None:
-                for y in bits(m):
-                    indeg[y] -= 1
+            if all(orbit_fits(x, decided) for x in affected):
+                for y in points:
+                    preds[y] |= bit
+                if rec(i + 1):
+                    return True
+                for y in points:
+                    preds[y] ^= bit
         return False
 
     try:
@@ -187,24 +215,6 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
     return SearchResult(n, constraint, "exhausted", None, nodes, budget, elapsed)
 
 
-def _map_consistent(g: list[int], i: int, fv: tuple[int, ...], n: int) -> bool:
-    # decided points are exactly the indices 0..i
-    for x in range(i + 1):
-        fx = fv[x]
-        if fx <= i and fv[g[x]] != g[fx]:
-            return False
-        cur = x
-        complete = True
-        for _ in range(n):
-            if cur > i:
-                complete = False
-                break
-            cur = g[cur]
-        if complete and cur != fx:
-            return False
-    return True
-
-
 def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
                      max_points: int | None = None) -> SearchResult:
     """Search for a total map g with g^n = f, in canonical value order."""
@@ -219,21 +229,66 @@ def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
             f"ground of {size} points exceeds the single-map cap {cap}; "
             "pass max_points to override")
 
+    fv = f.image
+    fpreds = invert(f.as_multifunction()).images  # fpreds[v]: the points x with f(x) = v
+    fixed = sum(1 << x for x in range(size) if fv[x] == x)
+    full = (1 << size) - 1
+
     start = time.perf_counter()
     g = [0] * size
+    preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
     nodes = 0
+
+    def orbits_fit(i: int) -> bool:
+        # walk from i once through decided points, up to n steps
+        walk = [i]
+        cur = i
+        for _ in range(n):
+            if cur > i:
+                break
+            cur = g[cur]
+            walk.append(cur)
+        steps = len(walk) - 1
+        if steps == n and cur != fv[i]:
+            return False
+        # level k holds the earlier points whose walk first meets i after k
+        # steps; their n-step walk is complete iff the walk from i takes
+        # n - k steps, and then it ends at walk[n - k]
+        level = 1 << i
+        for k in range(1, n):
+            level = _union(preds, level)
+            if not level:
+                break
+            if steps >= n - k and level & ~fpreds[walk[n - k]]:
+                return False
+        return True
 
     def rec(i: int) -> bool:
         nonlocal nodes
         if i == size:
             return True
+        bit = 1 << i
+        # commutation f(g(x)) = g(f(x)) at the earlier x with f(x) = i fixes
+        # g(i) = f(g(x)), and at i itself it fixes f(g(i)) once f(i) is decided
+        allowed = full
+        for x in bits(fpreds[i] & (bit - 1)):
+            allowed &= 1 << fv[g[x]]
+        fi = fv[i]
+        if fi < i:
+            allowed &= fpreds[g[fi]]
+        elif fi == i:
+            allowed &= fixed
         for v in range(size):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
-            g[i] = v
-            if _map_consistent(g, i, f.image, n) and rec(i + 1):
-                return True
+            if allowed >> v & 1:
+                g[i] = v
+                if orbits_fit(i):
+                    preds[v] |= bit
+                    if rec(i + 1):
+                        return True
+                    preds[v] ^= bit
         return False
 
     try:

@@ -219,3 +219,29 @@ def test_instance_unknown_name_is_input_error(capsys):
     code, _, err = run(capsys, "instance", "mystery")
     assert code == 2
     assert "unknown instance" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--N", "2"), ("--x0", "x1")])
+def test_check_one_rule_builds_one_view(write, capsys, monkeypatch, extra):
+    # one view per command, not one per witness point, which made the
+    # command quadratic in the ground size
+    from iterroot import criteria
+    from iterroot.cli import _certificate_json
+    F = f1(12)
+    path = write("f1.mfn", F)
+    rule = criteria.Rule.INVERSE_PATHS if "--N" in extra else criteria.Rule.FORWARD_PATHS
+    points = [F.ground.index("x1")] if "--x0" in extra else range(F.ground.size)
+    expected = []
+    for x0 in points:
+        N = 2 if "--N" in extra else criteria.minimal_N(F, rule, x0)
+        cert = criteria.CHECKERS[rule](F, x0, 1, N)
+        if cert.fires or "--x0" in extra:
+            expected.append(_certificate_json(F.ground, cert))
+    built = []
+    view = criteria._view
+    monkeypatch.setattr(criteria, "_view",
+                        lambda *a, **kw: built.append(a) or view(*a, **kw))
+    code, out, _ = run(capsys, "check", path, "--rule", rule.value, "--json", *extra)
+    assert len(built) == 1
+    assert json.loads(out) == {"certificates": expected}
+    assert code == (0 if any(c["conclusion"] != "not-applicable" for c in expected) else 1)

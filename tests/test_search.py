@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,15 +7,24 @@ from iterroot.core import (
     GroundSet,
     Multifunction,
     SingleMap,
+    bits,
     identity_map,
     identity_multifunction,
     iterate,
     iterate_map,
     profile,
 )
-from iterroot.instances import cyclic_power, f1, fig67, random_multifunction
+from iterroot.instances import (
+    cyclic_power,
+    f1,
+    f2,
+    fig67,
+    random_multifunction,
+    random_single_map,
+)
 from iterroot.pullback import pullback_of
 from iterroot.search import (
+    DEFAULT_BUDGET,
     RootConstraint,
     UNCONSTRAINED,
     find_multi_root,
@@ -203,3 +213,197 @@ def test_witness_checks_raise_when_the_root_identity_fails(monkeypatch):
                         lambda g, n: SingleMap(g.ground, (1, 2, 0)))
     with pytest.raises(RuntimeError, match="not an order-2 root"):
         find_single_root(identity_map(ground), 2)
+
+
+# Reference: the full-rescan consistency checks the incremental ones replaced.
+# At every node they re-check every decided point, so a searcher built on
+# them must explore exactly the same nodes as the real searchers.
+
+def _reference_consistent(imgs, decided, fimgs, n):
+    dmask = (1 << decided) - 1
+    for x in range(decided):
+        cur = 1 << x
+        complete = True
+        for _ in range(n):
+            if cur & ~dmask:
+                complete = False
+            nxt = 0
+            for y in bits(cur & dmask):
+                nxt |= imgs[y]
+            cur = nxt
+        if complete:
+            if cur != fimgs[x]:
+                return False
+        elif cur & ~fimgs[x]:
+            return False
+        fg = 0
+        for y in bits(imgs[x]):
+            fg |= fimgs[y]
+        fx = fimgs[x]
+        gf = 0
+        for y in bits(fx & dmask):
+            gf |= imgs[y]
+        if fx & ~dmask:
+            if gf & ~fg:
+                return False
+        elif gf != fg:
+            return False
+    return True
+
+
+def _reference_map_consistent(g, i, fv, n):
+    for x in range(i + 1):
+        fx = fv[x]
+        if fx <= i and fv[g[x]] != g[fx]:
+            return False
+        cur = x
+        complete = True
+        for _ in range(n):
+            if cur > i:
+                complete = False
+                break
+            cur = g[cur]
+        if complete and cur != fx:
+            return False
+    return True
+
+
+class _ReferenceBudgetExceeded(Exception):
+    pass
+
+
+def _reference_candidates(size, constraint):
+    candidates = sorted(range(1 << size), key=lambda m: (m.bit_count(), m))
+    if constraint.variant == "max-out":
+        candidates = [m for m in candidates if m.bit_count() <= constraint.bound]
+    if constraint.require_total_domain:
+        candidates = [m for m in candidates if m]
+    return candidates
+
+
+def _reference_multi(F, n, constraint, budget=DEFAULT_BUDGET):
+    """(outcome, nodes, witness images) of the full-rescan multi-map searcher."""
+    size = F.ground.size
+    candidates = _reference_candidates(size, constraint)
+    in_bound = constraint.bound if constraint.variant == "max-in" else None
+    imgs = [0] * size
+    indeg = [0] * size
+    nodes = 0
+
+    def rec(i):
+        nonlocal nodes
+        if i == size:
+            return True
+        for m in candidates:
+            nodes += 1
+            if nodes > budget:
+                raise _ReferenceBudgetExceeded
+            if in_bound is not None:
+                for y in bits(m):
+                    indeg[y] += 1
+                if any(indeg[y] > in_bound for y in bits(m)):
+                    for y in bits(m):
+                        indeg[y] -= 1
+                    continue
+            imgs[i] = m
+            if _reference_consistent(imgs, i + 1, F.images, n) and rec(i + 1):
+                return True
+            if in_bound is not None:
+                for y in bits(m):
+                    indeg[y] -= 1
+        return False
+
+    try:
+        found = rec(0)
+    except _ReferenceBudgetExceeded:
+        return "budget", nodes, None
+    return ("witness", nodes, tuple(imgs)) if found else ("exhausted", nodes, None)
+
+
+def _reference_single(f, n, budget=DEFAULT_BUDGET):
+    """(outcome, nodes, witness image) of the full-rescan single-map searcher."""
+    size = f.ground.size
+    g = [0] * size
+    nodes = 0
+
+    def rec(i):
+        nonlocal nodes
+        if i == size:
+            return True
+        for v in range(size):
+            nodes += 1
+            if nodes > budget:
+                raise _ReferenceBudgetExceeded
+            g[i] = v
+            if _reference_map_consistent(g, i, f.image, n) and rec(i + 1):
+                return True
+        return False
+
+    try:
+        found = rec(0)
+    except _ReferenceBudgetExceeded:
+        return "budget", nodes, None
+    return ("witness", nodes, tuple(g)) if found else ("exhausted", nodes, None)
+
+
+def _summary(result, kind):
+    witness = None
+    if result.found:
+        witness = result.witness.image if kind == "single" else result.witness.images
+    return result.outcome, result.nodes_explored, witness
+
+
+def test_incremental_single_search_explores_the_reference_nodes():
+    rng = random.Random(20261017)
+    for trial in range(480):
+        size = rng.randint(3, 8)
+        n = rng.randint(2, 4)
+        if trial % 3 == 0:  # a planted root makes witnesses common
+            f = iterate_map(random_single_map(size, rng.randrange(2**31)), n)
+        else:
+            f = random_single_map(size, rng.randrange(2**31))
+        budget = 20_000
+        got = _summary(find_single_root(f, n, budget=budget), "single")
+        assert got == _reference_single(f, n, budget), (f.image, n)
+
+
+def test_incremental_multi_search_explores_the_reference_nodes():
+    rng = random.Random(20261018)
+    classes = (UNCONSTRAINED, max_out_degree(2), max_in_degree(2),
+               max_out_degree(2, require_total_domain=True))
+    for trial in range(240):
+        size = rng.randint(2, 5)
+        n = rng.randint(2, 3)
+        constraint = classes[trial % len(classes)]
+        root = random_multifunction(size, rng.randrange(2**31), max_out_degree=2, density=0.5)
+        F = iterate(root, n) if trial % 2 else random_multifunction(size, rng.randrange(2**31))
+        budget = 4_000
+        got = _summary(find_multi_root(F, n, constraint, budget=budget), "multi")
+        assert got == _reference_multi(F, n, constraint, budget), (F.images, n, constraint)
+
+
+def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
+    from iterroot.search import _candidates
+    for size in range(1, 11):
+        for bound in (1, 2, 3, size, size + 4):
+            for total in (False, True):
+                for constraint in (RootConstraint(require_total_domain=total),
+                                   max_out_degree(bound, total), max_in_degree(bound, total)):
+                    assert _candidates(size, constraint) == _reference_candidates(size, constraint)
+
+
+@pytest.mark.parametrize("make, n, constraint, outcome, nodes", [
+    (lambda: fig67()[0], 4, None, "witness", 115_878),
+    (lambda: fig67()[0], 5, None, "exhausted", 6_260),
+    (lambda: f1(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 6_864),
+    (lambda: f1(4), 2, max_out_degree(2, require_total_domain=True), "exhausted", 18_840),
+    (lambda: f2(2), 2, max_out_degree(2, require_total_domain=True), "exhausted", 17_358),
+])
+def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
+    target = make()
+    size = target.ground.size
+    if constraint is None:
+        result = find_single_root(target, n, max_points=size)
+    else:
+        result = find_multi_root(target, n, constraint, max_points=size)
+    assert (result.outcome, result.nodes_explored) == (outcome, nodes)
