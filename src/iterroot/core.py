@@ -73,9 +73,9 @@ class Multifunction:
         object.__setattr__(self, "images", tuple(self.images))
         if len(self.images) != self.ground.size:
             raise ValueError("one image mask per point required")
-        full = self.ground.full_mask
+        size = self.ground.size
         for x, m in enumerate(self.images):
-            if m < 0 or m & ~full:
+            if m < 0 or m.bit_length() > size:
                 raise ValueError(f"image of point {x} is out of range")
 
     @classmethod
@@ -148,12 +148,16 @@ def compose(F: Multifunction, G: Multifunction) -> Multifunction:
 
 
 def iterate(F: Multifunction, n: int) -> Multifunction:
-    """The n-th iterate; the 0-th iterate is the identity multifunction."""
+    """The n-th iterate; the 0-th iterate is the identity multifunction.
+
+    Each step is ``compose(result, F)``, which unions out-degree many masks
+    per point rather than one per point of the growing image.
+    """
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
     result = identity_multifunction(F.ground)
     for _ in range(n):
-        result = compose(F, result)
+        result = compose(result, F)
     return result
 
 

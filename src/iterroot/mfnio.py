@@ -12,7 +12,7 @@ uses LF endings and no trailing spaces.
 """
 from __future__ import annotations
 
-from .core import GroundSet, Multifunction, SingleMap, as_single_map, bits
+from .core import GroundSet, Multifunction, SingleMap, bits, mask_of
 
 
 class ParseError(ValueError):
@@ -25,7 +25,7 @@ def parse(text: str) -> Multifunction | SingleMap:
     ground: GroundSet | None = None
     kind_single = False
     kind_line = 0
-    images: list[int] = []
+    targets: list[list[int]] = []
     seen_sources: set[int] = set()
     index: dict[str, int] = {}
 
@@ -45,7 +45,7 @@ def parse(text: str) -> Multifunction | SingleMap:
                     raise ParseError(f"duplicate label {lab}", lineno)
                 index[lab] = len(index)
             ground = GroundSet(tuple(labels))
-            images = [0] * ground.size
+            targets = [[]] * ground.size
             continue
         if tokens == ["kind", "single"]:
             kind_single = True
@@ -60,38 +60,36 @@ def parse(text: str) -> Multifunction | SingleMap:
         if s in seen_sources:
             raise ParseError(f"duplicate source line for {src}", lineno)
         seen_sources.add(s)
-        m = 0
+        t = []
         for lab in tokens[2:]:
             if lab not in index:
                 raise ParseError(f"undeclared label {lab}", lineno)
-            m |= 1 << index[lab]
-        if kind_single and m.bit_count() != 1:
+            t.append(index[lab])
+        if kind_single and len(set(t)) != 1:
             raise ParseError(f"single map needs exactly one target for {src}", lineno)
-        images[s] = m
+        targets[s] = t
 
     if ground is None:
         raise ParseError("expected a 'points' declaration", 1)
-    F = Multifunction(ground, tuple(images))
-    if kind_single:
-        for x, m in enumerate(images):
-            if m == 0:
-                raise ParseError(
-                    f"single map missing image for {ground.labels[x]}", kind_line)
-            if m.bit_count() > 1:
-                raise ParseError(
-                    f"single map needs exactly one target for {ground.labels[x]}", kind_line)
-        return as_single_map(F)
-    return F
+    if not kind_single:
+        return Multifunction(ground, tuple(mask_of(t) for t in targets))
+    for x, t in enumerate(targets):
+        if not t:
+            raise ParseError(f"single map missing image for {ground.labels[x]}", kind_line)
+        if len(set(t)) > 1:
+            raise ParseError(
+                f"single map needs exactly one target for {ground.labels[x]}", kind_line)
+    return SingleMap(ground, tuple(t[0] for t in targets))
 
 
 def serialize(value: Multifunction | SingleMap) -> str:
-    single = isinstance(value, SingleMap)
-    F = value.as_multifunction() if single else value
-    labels = F.ground.labels
+    labels = value.ground.labels
     lines = ["points " + " ".join(labels)]
-    if single:
+    if isinstance(value, SingleMap):
         lines.append("kind single")
-    for x, m in enumerate(F.images):
-        if m:
-            lines.append(f"{labels[x]} -> " + " ".join(labels[y] for y in bits(m)))
+        lines += [f"{labels[x]} -> {labels[y]}" for x, y in enumerate(value.image)]
+    else:
+        for x, m in enumerate(value.images):
+            if m:
+                lines.append(f"{labels[x]} -> " + " ".join(labels[y] for y in bits(m)))
     return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 """Exact counting of fixed-length paths (walks) in the graph of a multifunction.
 
-Counts are Python integers, hence arbitrary precision: powers of dense
-adjacency matrices exceed 64 bits quickly and the counts must stay exact.
-``path_matrix`` backs the ``paths`` command and is the test oracle for the
+Counts are Python integers, hence arbitrary precision: path counts exceed
+64 bits quickly and must stay exact.  ``count_paths``, which backs the
+``paths`` command, propagates one count row over the sparse images, so it
+costs O(k * edges) additions.  ``path_matrix``, the k-th power of the dense
+adjacency matrix, is the test oracle for ``count_paths`` and for the
 closed-form certificate counts in ``criteria``.  A recursive enumeration
 counter is provided as an independent cross-check for small path lengths.
 """
@@ -64,12 +66,24 @@ def path_matrix(F: Multifunction, k: int) -> PathCountMatrix:
 
 
 def count_paths(F: Multifunction, from_points: Iterable[int], to_points: Iterable[int], k: int) -> int:
-    """Number of k-paths starting in ``from_points`` and ending in ``to_points``, k >= 1."""
+    """Number of k-paths starting in ``from_points`` and ending in ``to_points``, k >= 1.
+
+    A point listed twice in either set counts twice.
+    """
     if k < 1:
         raise ValueError("set-to-set path counting requires length at least 1")
-    entries = path_matrix(F, k).entries
-    to = tuple(to_points)
-    return sum(entries[x][y] for x in from_points for y in to)
+    successors = [tuple(bits(m)) for m in F.images]
+    row = [0] * F.ground.size
+    for x in from_points:
+        row[x] += 1
+    for _ in range(k):
+        nxt = [0] * F.ground.size
+        for x, c in enumerate(row):
+            if c:
+                for y in successors[x]:
+                    nxt[y] += c
+        row = nxt
+    return sum(row[y] for y in to_points)
 
 
 def count_paths_dfs(F: Multifunction, x: int, y: int, k: int) -> int:

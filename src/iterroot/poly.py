@@ -76,9 +76,12 @@ def first_solar(count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be positive")
     found: list[int] = []
+    primes: list[int] = []  # the primes <= d, grown with d
     d = 2
     while len(found) < count:
-        if solar_criterion(d):
+        if is_prime(d):
+            primes.append(d)
+        if all(pow(d, p, p * p) != d % (p * p) for p in primes):
             found.append(d)
         d += 1
     return found
@@ -157,16 +160,14 @@ def _coeffs_close(a: Sequence[complex], b: Sequence[complex], tol: float) -> boo
 
 
 def _expand_shifted_monomial(alpha: complex, beta: complex, d: int) -> list[complex]:
-    # alpha * (z - beta)^d + beta, low degree first
-    import numpy as np
-
-    base = np.array([-beta, 1.0], dtype=complex)
-    expanded = np.array([1.0 + 0j])
+    # alpha * (z - beta)^d + beta, low degree first; each step convolves
+    # with (-beta, 1) in pure Python, so that numpy is not imported
+    expanded = [1.0 + 0j]
     for _ in range(d):
-        expanded = np.convolve(expanded, base)
-    expanded = alpha * expanded
+        expanded = [a * -beta + b for a, b in zip(expanded + [0j], [0j] + expanded)]
+    expanded = [alpha * c for c in expanded]
     expanded[0] += beta
-    return [complex(c) for c in expanded]
+    return expanded
 
 
 def shifted_monomial_parameters(poly: ComplexPolynomial,

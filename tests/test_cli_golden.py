@@ -1,13 +1,26 @@
-"""Golden output of ``iterroot check``: text and JSON must stay byte-identical.
+"""Golden output of the CLI: text and JSON must stay byte-identical.
 
-The expected strings were produced by the dense-matrix checkers that the
-closed-form certificates replaced.
+The expected ``check`` strings were produced by the dense-matrix checkers
+that the closed-form certificates replaced.  The expected outputs of the
+graph commands (``paths``, ``iterate``, ``invert``, ``pullback``,
+``fixedpoints``) were produced by the dense path matrix, the left-composed
+iterate and the bitmask .mfn reader and writer that preceded the edge-wise
+kernels; long outputs are pinned by their SHA-256 digest.
 """
+import hashlib
+
 import pytest
 
 from iterroot.cli import main
-from iterroot.instances import f1, f2
+from iterroot.instances import (
+    f1,
+    f2,
+    random_multifunction,
+    random_permutation,
+    random_single_map,
+)
 from iterroot.mfnio import serialize
+from iterroot.pullback import pullback_of
 
 F1_4_JSON = """\
 {
@@ -222,3 +235,68 @@ def test_check_output_is_byte_identical(tmp_path, capsys, make, depth, args, cod
     path.write_text(serialize(make(depth)), encoding="utf-8")
     assert main(["check", str(path), *args]) == code
     assert capsys.readouterr().out == expected
+
+
+# map300 has three fixed points, two of them non-isolated, so both
+# fixed-point exclusions apply; pullback300 is the pullback of a permutation
+GRAPH_FILES = {
+    "map300": (random_single_map(300, seed=10),
+               "9a9b5ed01770b138c378e3606331802eaceff9c1cf9105768029686906b22997"),
+    "multi80": (random_multifunction(80, seed=4, max_out_degree=3, density=0.2),
+                "ceb1037bf0e26c2ce354414ed7aec77bab258fc038f3e2996ad121e9d12f02cd"),
+    "pullback300": (pullback_of(random_permutation(300, seed=2)),
+                    "ff3a51381823d7086616572cc02d7ca1df4a271c4b8006422817e880c106ed87"),
+}
+
+MAP300_FIXEDPOINTS = """\
+fixed points: p89 p90 p228
+  p89: non-isolated, tail: p27 p299
+  p90: isolated, tail: -
+  p228: non-isolated, tail: p78 p150
+total tail size: 4
+tail-mass exclusion: all orders n > 4
+non-isolated-count exclusion: orders n > 2 with no divisor in [2, 2]
+"""
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_FILES))
+def test_graph_input_files_are_byte_identical(name):
+    value, digest = GRAPH_FILES[name]
+    assert _sha(serialize(value)) == digest
+
+
+@pytest.mark.parametrize("name, args, code, expected", [
+    ("multi80", ("paths", "--from", "p3,p3,p17,p40", "--to", "p5,p60,p60", "--length", "64"),
+     0, "36945895261256594307683159311\n"),
+    ("multi80", ("paths", "--from", "p0", "--to", "p79", "--length", "1"), 0, "0\n"),
+    ("map300", ("paths", "--from", "p1,p2,p1,p3", "--to", "p59,p95,p95,p7", "--length", "64"),
+     0, "4\n"),
+    ("map300", ("iterate", "--order", "3"), 0,
+     "c840a429e34004b15bd15437591809e412155daf4d4b8000cc7c18f4a2152df7"),
+    ("map300", ("iterate", "--order", "0"), 0,
+     "769d5ca6a8736f0d83271c48ae3d72c425d349e3c54e5f24fc8f35d620f98f06"),
+    ("multi80", ("iterate", "--order", "3"), 0,
+     "92428e506e2406cd2d84cca367be5d1055aa45b9d3b8f52f405870b2481a93e4"),
+    ("map300", ("invert",), 0,
+     "3c75c67d476aeb78b01bb43e32a8e13bb77c4521d3055fc1248ac40683f34f0e"),
+    ("multi80", ("invert",), 0,
+     "47f296f6b8463f801853d7e5d8ab5c412ded8bea4a07bd7db4cf92866dfa740d"),
+    ("map300", ("pullback",), 0,
+     "3c75c67d476aeb78b01bb43e32a8e13bb77c4521d3055fc1248ac40683f34f0e"),
+    ("pullback300", ("pullback",), 0,
+     "4f6431472db26b8998494c3be4a517acce247c144655a0a44be1ba5639c17193"),
+    ("multi80", ("pullback",), 1,
+     "not a pullback multifunction; failed conditions: disjointness, surjectivity\n"),
+    ("map300", ("fixedpoints",), 0, MAP300_FIXEDPOINTS),
+    ("multi80", ("fixedpoints",), 2, ""),
+])
+def test_graph_command_output_is_byte_identical(tmp_path, capsys, name, args, code, expected):
+    path = tmp_path / f"{name}.mfn"
+    path.write_text(serialize(GRAPH_FILES[name][0]), encoding="utf-8")
+    assert main([args[0], str(path), *args[1:]]) == code
+    out = capsys.readouterr().out
+    assert out == expected or _sha(out) == expected

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -72,6 +73,33 @@ def test_compose_requires_shared_ground():
 def test_iterate_zero_is_identity():
     F = random_multifunction(5, seed=3)
     assert equals(iterate(F, 0), identity_multifunction(F.ground))
+
+
+def _reference_iterate(F, n):
+    """``iterate`` before right composition: ``result = compose(F, result)``."""
+    result = identity_multifunction(F.ground)
+    for _ in range(n):
+        result = compose(F, result)
+    return result
+
+
+def test_right_composed_iterate_equals_the_left_composed_loop():
+    rng = random.Random(8)
+    for case in range(60):
+        size = case % 8 + 1
+        F = Multifunction(GroundSet(tuple(f"p{i}" for i in range(size))),
+                          tuple(rng.randrange(1 << size) if rng.random() < 0.8 else 0
+                                for _ in range(size)))
+        for n in range(10):
+            assert iterate(F, n) == _reference_iterate(F, n)
+
+
+def test_image_masks_must_lie_in_the_ground_set():
+    ground = GroundSet(("a", "b", "c"))
+    assert Multifunction(ground, (0b111, 0, 0b100)).images == (0b111, 0, 0b100)
+    for bad in (0b1000, 0b1111, -1):
+        with pytest.raises(ValueError, match="image of point 1 is out of range"):
+            Multifunction(ground, (0, bad, 0))
 
 
 def test_iterate_semigroup_on_random_instances():

@@ -1,7 +1,10 @@
-import pytest
+import random
 
-from iterroot.core import Multifunction, SingleMap, equals
-from iterroot.instances import f1, f2, fig67, random_multifunction
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from iterroot.core import GroundSet, Multifunction, SingleMap, as_single_map, equals
+from iterroot.instances import f1, f2, fig67, random_multifunction, random_single_map
 from iterroot.mfnio import ParseError, parse, serialize
 
 FIG67_G_MFN = """\
@@ -136,3 +139,140 @@ def test_error_messages_carry_line_numbers():
     err = error_line("points a b\n\n# comment\nq -> a\n")
     assert err.line == 4
     assert str(err).endswith("at line 4")
+
+
+def reference_parse(text):
+    """``parse`` before index lists: one bitmask per source, for maps too."""
+    ground = None
+    kind_single = False
+    kind_line = 0
+    images = []
+    seen_sources = set()
+    index = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if ground is None:
+            if tokens[0] != "points":
+                raise ParseError("expected a 'points' declaration", lineno)
+            labels = tokens[1:]
+            if not labels:
+                raise ParseError("at least one point label required", lineno)
+            for lab in labels:
+                if lab in index:
+                    raise ParseError(f"duplicate label {lab}", lineno)
+                index[lab] = len(index)
+            ground = GroundSet(tuple(labels))
+            images = [0] * ground.size
+            continue
+        if tokens == ["kind", "single"]:
+            kind_single = True
+            kind_line = lineno
+            continue
+        if len(tokens) < 2 or tokens[1] != "->":
+            raise ParseError("expected '<label> -> <label>*'", lineno)
+        src = tokens[0]
+        if src not in index:
+            raise ParseError(f"undeclared label {src}", lineno)
+        s = index[src]
+        if s in seen_sources:
+            raise ParseError(f"duplicate source line for {src}", lineno)
+        seen_sources.add(s)
+        m = 0
+        for lab in tokens[2:]:
+            if lab not in index:
+                raise ParseError(f"undeclared label {lab}", lineno)
+            m |= 1 << index[lab]
+        if kind_single and m.bit_count() != 1:
+            raise ParseError(f"single map needs exactly one target for {src}", lineno)
+        images[s] = m
+    if ground is None:
+        raise ParseError("expected a 'points' declaration", 1)
+    F = Multifunction(ground, tuple(images))
+    if kind_single:
+        for x, m in enumerate(images):
+            if m == 0:
+                raise ParseError(
+                    f"single map missing image for {ground.labels[x]}", kind_line)
+            if m.bit_count() > 1:
+                raise ParseError(
+                    f"single map needs exactly one target for {ground.labels[x]}", kind_line)
+        return as_single_map(F)
+    return F
+
+
+def parse_outcome(parser, text):
+    """The parsed value, or the message and line of the ParseError raised."""
+    try:
+        value = parser(text)
+    except ParseError as err:
+        return ("error", str(err), err.line)
+    return (type(value).__name__, value)
+
+
+def _mutate(rng, text):
+    """One edit that a hand-written .mfn file could contain."""
+    lines = text.splitlines()
+    labels = next((line.split()[1:] for line in lines if line.startswith("points")), ["p0"])
+    arrows = [i for i, line in enumerate(lines) if "->" in line]
+    i = rng.choice(arrows) if arrows else len(lines) - 1
+    edit = rng.randrange(9)
+    if edit == 0:  # kind single anywhere after the declaration, maybe twice
+        lines.insert(rng.randint(1, len(lines)), "kind single")
+    elif edit == 1:  # a repeated target
+        lines[i] += " " + lines[i].split()[-1]
+    elif edit == 2:  # a missing image
+        del lines[i]
+    elif edit == 3:  # a set value
+        lines[i] += " " + rng.choice(labels)
+    elif edit == 4:  # an empty image
+        lines[i] = lines[i].split("->")[0] + "->"
+    elif edit == 5:  # an undeclared target or source
+        lines[i] = lines[i].replace(rng.choice(labels), "q", 1)
+    elif edit == 6:  # a duplicate source line
+        lines.insert(rng.randint(1, len(lines)), lines[i])
+    elif edit == 7:  # a malformed line
+        lines[i] = lines[i].replace("->", "=>")
+    else:  # comments and blank lines shift the line numbers
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", "# note", "   ")))
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_equals_the_bitmask_reference_on_valid_and_mutated_texts():
+    rng = random.Random(11)
+    kinds = set()
+    for case in range(400):
+        size = rng.randint(1, 7)
+        value = (random_single_map(size, seed=case) if case % 2
+                 else random_multifunction(size, seed=case, density=rng.random()))
+        text = serialize(value)
+        for _ in range(rng.randint(0, 3)):
+            text = _mutate(rng, text)
+        outcome = parse_outcome(parse, text)
+        assert outcome == parse_outcome(reference_parse, text), text
+        kinds.add(outcome[0] if outcome[0] != "error" else outcome[1].split(" at ")[0][:18])
+    # valid maps and multifunctions, and every kind of error above, were seen
+    assert {"SingleMap", "Multifunction", "single map missing", "single map needs e",
+            "duplicate source l", "undeclared label q", "expected '<label> "} <= kinds
+
+
+# a header, then whole lines of the format and lines assembled from its
+# tokens: together they reach every branch of the parser
+_HEADERS = ("points a b", "points a b c", "points a a", "# note", "")
+_LINES = ("kind single", "a -> b", "a -> b b", "b -> a", "b -> a b", "c -> c", "c ->",
+          "b -> d", "d -> a", "a b", "points a", "# note", "")
+_TOKENS = ("points", "kind", "single", "->", "a", "b", "c", "#", "a#b", "")
+_line = st.one_of(st.sampled_from(_LINES),
+                  st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join))
+mfn_like_texts = st.builds(lambda head, body: "\n".join([head, *body]),
+                           st.sampled_from(_HEADERS), st.lists(_line, max_size=8))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), mfn_like_texts))
+def test_parse_raises_only_parse_error_and_agrees_with_the_reference(text):
+    outcome = parse_outcome(parse, text)
+    assert outcome == parse_outcome(reference_parse, text)
+    assert outcome[0] in ("error", "Multifunction", "SingleMap")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -111,3 +112,39 @@ def test_repeated_squaring_agrees_with_direct_products():
         expected = [[sum(direct[x][y] * step[y][z] for y in range(5))
                      for z in range(5)] for x in range(5)]
         assert [list(r) for r in via_squaring] == expected
+
+
+def _reference_count_paths(matrix, from_points, to_points):
+    """``count_paths`` before row propagation: sums over the dense path matrix."""
+    to = tuple(to_points)
+    return sum(matrix.entries[x][y] for x in from_points for y in to)
+
+
+def _seeded_multifunction(rng, size):
+    """Random images with some empty ones (a partial domain) and some self-loops."""
+    images = []
+    for x in range(size):
+        if rng.random() < 0.2:
+            images.append(0)
+            continue
+        m = sum(1 << y for y in range(size) if rng.random() < rng.choice((0.15, 0.4)))
+        if rng.random() < 0.3:
+            m |= 1 << x
+        images.append(m)
+    return Multifunction(GroundSet(tuple(f"p{i}" for i in range(size))), tuple(images))
+
+
+def test_row_propagation_equals_the_path_matrix_sums():
+    rng = random.Random(4)
+    for case in range(40):
+        F = _seeded_multifunction(rng, case % 10 + 1)
+        size = F.ground.size
+        # repeated points in either set count once per listing
+        pairs = [([rng.randrange(size) for _ in range(rng.randint(0, 4))],
+                  [rng.randrange(size) for _ in range(rng.randint(0, 4))]) for _ in range(2)]
+        pairs.append((range(size), range(size)))
+        for k in range(1, 71):
+            matrix = path_matrix(F, k)
+            for sources, targets in pairs:
+                assert count_paths(F, sources, targets, k) == \
+                    _reference_count_paths(matrix, sources, targets)

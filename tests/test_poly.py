@@ -1,9 +1,16 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iterroot
 from iterroot.poly import (
     ComplexPolynomial,
+    _expand_shifted_monomial,
     advise,
     conjugate_to_special_cubic,
     first_solar,
@@ -57,6 +64,12 @@ def test_first_25_solar_degrees():
     assert first_solar(25) == SOLAR_25
 
 
+def test_first_solar_equals_filtering_by_the_criterion():
+    expected = [d for d in range(2, 3687) if solar_criterion(d)]
+    assert len(expected) == 300
+    assert first_solar(300) == expected
+
+
 def test_solar_criterion_matches_direct_modular_check():
     for d in range(2, 160):
         direct = all(pow(d, p) % (p * p) != d % (p * p) for p in primes_upto(d))
@@ -99,6 +112,44 @@ def test_shifted_monomial_parameters_recovered():
     assert params is not None
     assert params[0] == pytest.approx(alpha)
     assert params[1] == pytest.approx(beta)
+
+
+def _reference_expand_shifted_monomial(alpha, beta, d):
+    """The numpy expansion that the pure-Python list convolution replaced."""
+    import numpy as np
+
+    base = np.array([-beta, 1.0], dtype=complex)
+    expanded = np.array([1.0 + 0j])
+    for _ in range(d):
+        expanded = np.convolve(expanded, base)
+    expanded = alpha * expanded
+    expanded[0] += beta
+    return [complex(c) for c in expanded]
+
+
+def test_shifted_monomial_expansion_agrees_with_numpy():
+    rng = random.Random(6)
+    for _ in range(2000):
+        alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        beta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        d = rng.randint(0, 9)
+        got = _expand_shifted_monomial(alpha, beta, d)
+        want = _reference_expand_shifted_monomial(alpha, beta, d)
+        assert len(got) == len(want) == d + 1
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+def test_poly_advice_on_pure_powers_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(iterroot.__file__).parent.parent))
+    for coeffs in ("0,0,1", "0,0,0,0,0,1"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "iterroot.cli", "poly",
+             "--coeffs", coeffs, "--order", "3"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "order 3 excluded:" in proc.stdout
+        assert "iterroot.poly" in proc.stderr and "numpy" not in proc.stderr
 
 
 def test_shifted_monomial_rejects_generic_polynomials():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from iterroot.core import (
     GroundSet,
     Multifunction,
+    SingleMap,
     compose,
     equals,
     invert,
@@ -56,3 +57,16 @@ def test_path_matrix_composition_law(F, k, l):
 @given(multifunctions(max_size=4), st.integers(0, 2), st.integers(0, 2))
 def test_iterate_additive(F, m, n):
     assert equals(iterate(F, m + n), compose(iterate(F, m), iterate(F, n)))
+
+
+@st.composite
+def single_maps(draw, min_size=1, max_size=8):
+    size = draw(st.integers(min_size, max_size))
+    ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+    return SingleMap(ground, draw(st.tuples(*[st.integers(0, size - 1)] * size)))
+
+
+@given(single_maps())
+def test_single_map_serialization_round_trip(f):
+    assert parse(serialize(f)) == f
+
