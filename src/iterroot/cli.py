@@ -210,8 +210,9 @@ def cmd_fixedpoints(args) -> int:
 
 
 def _parse_complex(token: str) -> complex:
+    token = token.strip()  # a trailing i is the imaginary unit; "inf" stays as it is
     try:
-        return complex(token.strip().replace("i", "j"))
+        return complex(token[:-1] + "j" if token.endswith("i") else token)
     except ValueError as exc:
         raise InputError(f"bad complex coefficient {token!r}") from exc
 

@@ -13,6 +13,9 @@ rules count 2-paths into x0, Q = sum of indeg(y) over y in preds[x0]; the point
 rules count 2-step preimages, Q = |union of preds[y] over y in preds[x0]|.  The
 view of one direction (``profile(G)`` plus ``preds``) costs O(size + edges) to
 build, and all witnesses of one rule then cost O(size + edges) mask operations.
+Totality of G is a base hypothesis, so ``scan`` costs O(size) when F is neither
+total nor surjective, and otherwise one inversion, one view per live direction
+(G total) and one ``Certificate`` per firing witness.
 Dense matrix powers (``paths.path_matrix``) and ``iterate`` are test oracles only.
 """
 from __future__ import annotations
@@ -84,11 +87,10 @@ class Certificate:
         return self.conclusion is not Conclusion.NOT_APPLICABLE
 
 
-def _view(F: Multifunction, inverse: bool) -> _View:
-    """One direction G of F (F itself, or invert(F) when ``inverse``): its
+def _view(F: Multifunction, inverse: bool, inv: Multifunction) -> _View:
+    """One direction G of F (F, or its reversal ``inv`` when ``inverse``): its
     profile, the inverse image of each point, and x0 -> the largest in-degree
     of G away from x0 (0 on a one-point ground), from the two largest ones."""
-    inv = invert(F)
     G, preds = (inv, F.images) if inverse else (F, inv.images)
     prof = profile(G)
     indeg, top = prof.in_degrees, prof.max_in_degree
@@ -97,16 +99,21 @@ def _view(F: Multifunction, inverse: bool) -> _View:
     return prof, preds, lambda x0: second if x0 == top_at else top
 
 
+def _q(view: _View, rule: Rule, x0: int) -> int:
+    """Q at x0 in closed form: 2-paths into x0, or 2-step preimages of x0."""
+    prof, preds, _ = view
+    if rule in _PATH_RULES:
+        return sum(prof.in_degrees[y] for y in bits(preds[x0]))
+    union = 0
+    for y in bits(preds[x0]):
+        union |= preds[y]
+    return union.bit_count()
+
+
 def _check(view: _View, rule: Rule, x0: int, M: int, N: int) -> Certificate:
     prof, preds, n_max_at = view
     size = len(preds)
-    if rule in _PATH_RULES:
-        Q = sum(prof.in_degrees[y] for y in bits(preds[x0]))
-    else:
-        union = 0
-        for y in bits(preds[x0]):
-            union |= preds[y]
-        Q = union.bit_count()
+    Q = _q(view, rule, x0)
     n_max = n_max_at(x0)
     hyps = {
         "totality": len(prof.domain) == size,
@@ -144,7 +151,7 @@ def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int],
 
     N defaults to the minimal N of each point.
     """
-    view = _view(F, rule in _INVERSE_RULES)
+    view = _view(F, rule in _INVERSE_RULES, invert(F))
     certs = []
     for x0 in points:
         bound = N if N is not None else max(1, view[2](x0))
@@ -185,19 +192,30 @@ RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.
 
 def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
     """Smallest admissible N: the largest relevant per-point 1-count away from x0."""
-    return max(1, _view(F, rule in _INVERSE_RULES)[2](x0))
+    return max(1, _view(F, rule in _INVERSE_RULES, invert(F))[2](x0))
 
 
 def scan(F: Multifunction, M: int) -> list[Certificate]:
     """All firing certificates for the given class bound M, at the minimal N per witness."""
     if M < 1:
         raise ValueError("class bound M must be positive")
-    views = {inverse: _view(F, inverse) for inverse in (False, True)}
+    union = 0
+    for m in F.images:
+        union |= m
+    live = {False: all(F.images), True: union == F.ground.full_mask}
+    if not any(live.values()):
+        return []
+    inv = invert(F)
+    views = {inverse: _view(F, inverse, inv) for inverse, total in live.items() if total}
     found = []
     for rule in RULE_ORDER:
-        view = views[rule in _INVERSE_RULES]
-        for x0 in range(F.ground.size):
-            cert = _check(view, rule, x0, M, max(1, view[2](x0)))
-            if cert.fires:
-                found.append(cert)
+        view = views.get(rule in _INVERSE_RULES)
+        for x0 in range(F.ground.size) if view else ():
+            N = max(1, view[2](x0))  # the minimal N, at which N_bound_holds
+            if x0 in view[0].fixed_membership or _q(view, rule, x0) <= M * N**3:
+                continue
+            cert = _check(view, rule, x0, M, N)
+            if not cert.fires:
+                raise RuntimeError(f"{rule.value} at {x0} holds every base hypothesis, unfired")
+            found.append(cert)
     return found

@@ -9,6 +9,7 @@ or starting the CLI does not load it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,14 +19,21 @@ COEFF_REL_TOL = 1e-9
 FIXED_POINT_CLUSTER_TOL = 1e-7
 
 
+def _finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 @dataclass(frozen=True)
 class ComplexPolynomial:
-    """Coefficients low degree first; the leading coefficient is nonzero."""
+    """Coefficients low degree first, all finite; the leading coefficient is nonzero."""
 
     coefficients: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         coeffs = tuple(complex(c) for c in self.coefficients)
+        for k, c in enumerate(coeffs):
+            if not _finite(c):
+                raise ValueError(f"coefficient {k} is not finite: {c}")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if not coeffs or coeffs[-1] == 0:
@@ -116,13 +124,28 @@ _ALL_ORDERS = OrderExclusion(1, None, "all-orders")
 
 
 def polynomial_roots(poly: ComplexPolynomial) -> list[complex]:
-    """Roots via the companion matrix (numpy), high-degree polynomials included."""
+    """Roots via the companion matrix (numpy), high-degree polynomials included.
+
+    Raises ValueError when a coefficient ratio in the companion matrix
+    overflows the floating-point range.
+    """
     import numpy as np
 
     if poly.degree == 0:
         return []
     high_first = list(reversed(poly.coefficients))
-    return [complex(r) for r in np.roots(high_first)]
+    with np.errstate(all="ignore"):
+        try:
+            return [complex(r) for r in np.roots(high_first)]
+        except np.linalg.LinAlgError as exc:  # numpy found inf or nan in the matrix
+            raise ValueError("coefficient ratios overflow the floating-point range") from exc
+
+
+def _near(u: complex, v: complex, tol: float) -> bool:
+    """|u - v| <= tol; the components are compared first, so that abs() never
+    sees a difference whose modulus exceeds the float range."""
+    d = u - v
+    return abs(d.real) <= tol and abs(d.imag) <= tol and abs(d) <= tol
 
 
 def fixed_points(poly: ComplexPolynomial, tol: float = FIXED_POINT_CLUSTER_TOL) -> list[complex]:
@@ -135,7 +158,7 @@ def fixed_points(poly: ComplexPolynomial, tol: float = FIXED_POINT_CLUSTER_TOL) 
     roots = polynomial_roots(shifted)
     reps: list[complex] = []
     for v in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if not any(abs(v - r) <= tol for r in reps):
+        if not any(_near(v, r, tol) for r in reps):
             reps.append(v)
     return reps
 
@@ -148,15 +171,22 @@ def non_isolated_fixed_points(poly: ComplexPolynomial,
         coeffs = list(poly.coefficients)
         coeffs[0] -= z
         preimages = polynomial_roots(ComplexPolynomial(tuple(coeffs)))
-        if any(abs(y - z) > tol for y in preimages):
+        if not all(_near(y, z, tol) for y in preimages):
             out.append(z)
     return out
 
 
 def _coeffs_close(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
-    if len(a) != len(b):
+    """Whether |x - y| <= tol * max(1, |x|, |y|) for every pair; False unless
+    every value is finite, since inf is within tol * inf of anything."""
+    values = (*a, *b)
+    if len(a) != len(b) or not all(map(_finite, values)):
         return False
-    return all(abs(x - y) <= tol * max(1.0, abs(x), abs(y)) for x, y in zip(a, b))
+    # dividing by a power of two is exact, and keeps abs() of finite values finite
+    top = max((max(abs(z.real), abs(z.imag)) for z in values), default=0.0)
+    s = 2.0 ** max(0, math.frexp(top)[1] - 1)
+    return all(abs(x / s - y / s) <= tol * max(1 / s, abs(x / s), abs(y / s))
+               for x, y in zip(a, b))
 
 
 def _expand_shifted_monomial(alpha: complex, beta: complex, d: int) -> list[complex]:
@@ -187,27 +217,33 @@ def shifted_monomial_parameters(poly: ComplexPolynomial,
 def conjugate_to_special_cubic(poly: ComplexPolynomial,
                                tol: float = COEFF_REL_TOL) -> bool:
     """Whether a cubic equals h o p o h^-1 for a linear h and the special
-    cubic p above; both scale roots are tried and coefficients matched."""
+    cubic p above; both scale roots are tried and coefficients matched.
+
+    A conjugate whose coefficients overflow cannot be told apart from the
+    cubic, so it counts as a match: only a finite mismatch rules one out.
+    """
     if poly.degree != 3:
         return False
     import numpy as np
 
     c = list(poly.coefficients)  # c0..c3
-    a0 = complex(np.sqrt(1 / c[3]))  # leading coefficient of h o p o h^-1 is 1/a^2
-    for a in (a0, -a0):
-        b = (-1 / a - c[2]) / (3 * c[3])
-        # conjugate p by h(z) = a z + b, expanded in z
-        w = np.array([-b / a, 1 / a], dtype=complex)  # (z - b)/a
-        w2 = np.convolve(w, w)
-        w3 = np.convolve(w2, w)
-        pw = np.zeros(4, dtype=complex)
-        pw[: len(w3)] += w3
-        pw[: len(w2)] -= w2
-        pw[: len(w)] += w
-        qw = a * pw
-        qw[0] += b
-        if _coeffs_close([complex(x) for x in qw], c, tol):
-            return True
+    with np.errstate(all="ignore"):
+        a0 = np.sqrt(1 / c[3])  # leading coefficient of h o p o h^-1 is 1/a^2
+        for a in (a0, -a0):
+            b = (-1 / a - c[2]) / (3 * c[3])
+            # conjugate p by h(z) = a z + b, expanded in z
+            w = np.array([-b / a, 1 / a], dtype=complex)  # (z - b)/a
+            w2 = np.convolve(w, w)
+            w3 = np.convolve(w2, w)
+            pw = np.zeros(4, dtype=complex)
+            pw[: len(w3)] += w3
+            pw[: len(w2)] -= w2
+            pw[: len(w)] += w
+            qw = a * pw
+            qw[0] += b
+            q = [complex(x) for x in qw]
+            if not all(map(_finite, q)) or _coeffs_close(q, c, tol):
+                return True
     return False
 
 

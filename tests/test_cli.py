@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from iterroot.cli import main
 from iterroot.instances import f1, f2, fig67
@@ -245,3 +249,87 @@ def test_check_one_rule_builds_one_view(write, capsys, monkeypatch, extra):
     assert len(built) == 1
     assert json.loads(out) == {"certificates": expected}
     assert code == (0 if any(c["conclusion"] != "not-applicable" for c in expected) else 1)
+
+
+@pytest.mark.parametrize("coeffs", ["nan,0,1", "0,1,2,1e309", "inf,0,1", "1,-infi,1"])
+def test_poly_non_finite_coefficient_is_input_error(capsys, coeffs):
+    code, out, err = run(capsys, "poly", "--coeffs", coeffs, "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
+
+
+def test_poly_overflowing_cubic_asserts_nothing(capsys):
+    # the conjugacy test of the cubic overflows, so it cannot back a finding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "poly", "--coeffs", "0,1,2,1e300", "--order", "2")
+    assert (code, err) == (0, "")
+    assert out == "no finding; nothing is asserted\norder 2 excluded: False\n"
+
+
+def _run_quietly(argv):
+    """main(argv) with every warning an error; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+# finite extremes (|1.3e308+1.3e308i| is beyond the float range), non-finite
+# values (nan, inf, and 1e309, which overflows to inf), complex values in the
+# CLI's i notation, junk and empty tokens
+_COEFF_TOKENS = ("0", "1", "-1", "2", "0.5", "2+3i", "-1i", "1e300", "-1e300", "1e-320",
+                 "1.3e308+1.3e308i", "-1.3e308i", "nan", "inf", "-inf", "1e309", "infi",
+                 "i", "x", "1+", "", " ")
+_NON_FINITE = {"nan", "inf", "-inf", "1e309", "infi"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_COEFF_TOKENS), min_size=1, max_size=6),
+       st.integers(-1, 30))
+def test_poly_fuzz_exits_cleanly(tokens, order):
+    # --coeffs=... so that a leading minus sign is not read as an option
+    code, out, err = _run_quietly(["poly", f"--coeffs={','.join(tokens)}",
+                                   "--order", str(order)])
+    _assert_clean_exit(code, err)
+    assert code != 1
+    if _NON_FINITE & set(tokens):
+        assert code == 2
+    if code == 0:
+        assert out.endswith(f"order {order} excluded: True\n") or \
+            out.endswith(f"order {order} excluded: False\n")
+
+
+_LABELS = ("a", "b", "c", "d", "e")
+_mfn_line = st.one_of(
+    st.builds(lambda source, targets: " ".join([source, "->", *targets]),
+              st.sampled_from(_LABELS + ("q",)), st.lists(st.sampled_from(_LABELS), max_size=5)),
+    st.sampled_from(("kind single", "points a", "# note", "a b", "->", "")))
+# arbitrary text, and texts on the ground a..e that often parse and fire
+_mfn_texts = st.one_of(
+    st.text(),
+    st.builds(lambda body: "\n".join(["points a b c d e", *body]), st.lists(_mfn_line, max_size=10)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mfn_texts, st.sampled_from(["scan", "forward-paths", "forward-points",
+                                    "inverse-paths", "inverse-points"]),
+       st.integers(0, 3), st.sampled_from([(), ("--x0", "a"), ("--x0", "q"), ("--N", "0"),
+                                           ("--N", "2"), ("--json",)]))
+def test_check_fuzz_exits_cleanly(tmp_path, text, rule, M, extra):
+    path = tmp_path / "fuzz.mfn"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = _run_quietly(["check", str(path), "--rule", rule, "--M", str(M), *extra])
+    _assert_clean_exit(code, err)

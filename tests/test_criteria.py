@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from iterroot.core import identity_multifunction, invert, iterate, profile
+from iterroot import criteria
+from iterroot.core import (
+    GroundSet, Multifunction, identity_multifunction, invert, iterate, profile,
+)
 from iterroot.criteria import (
     BASE_HYPOTHESES,
     CHECKERS,
@@ -15,6 +18,7 @@ from iterroot.criteria import (
     check_forward_points,
     check_inverse_paths,
     check_inverse_points,
+    check_rule,
     minimal_N,
     scan,
 )
@@ -185,6 +189,9 @@ def test_scan_orders_by_rule_then_witness():
         assert keys == sorted(keys)
 
 
+_INVERSE = (Rule.INVERSE_PATHS, Rule.INVERSE_POINTS)
+
+
 # Reference: the dense checkers the closed forms replaced.  Q is read off
 # the full two-step path matrix or the second iterate of G, where G is F
 # for the forward rules and its edge reversal for the inverse rules.
@@ -263,6 +270,9 @@ def _reference_instances():
 def test_closed_form_certificates_equal_the_dense_reference():
     fired = dict.fromkeys(Rule, 0)
     partial = non_surjective = looped = 0
+    # firing certificates of the one live direction: F total but not onto
+    # (forward rules), F onto but partial (inverse rules)
+    one_live = {False: 0, True: 0}
     for F in _reference_instances():
         size = F.ground.size
         dense = {inverse: _dense_direction(F, inverse) for inverse in (False, True)}
@@ -270,6 +280,7 @@ def test_closed_form_certificates_equal_the_dense_reference():
         partial += len(prof.domain) < size
         non_surjective += len(prof.image) < size
         looped += bool(prof.fixed_membership)
+        live = {False: len(prof.domain) == size, True: len(prof.image) == size}
         for rule in RULE_ORDER:
             for x0 in range(size):
                 N = _dense_minimal_N(F, rule, x0)
@@ -285,5 +296,89 @@ def test_closed_form_certificates_equal_the_dense_reference():
             assert scan(F, M) == expected
             for cert in expected:
                 fired[cert.rule] += 1
+                inverse = cert.rule in _INVERSE
+                one_live[inverse] += live[inverse] and not live[not inverse]
     assert all(count > 0 for count in fired.values()), fired
     assert min(partial, non_surjective, looped) > 0
+    assert min(one_live.values()) > 0, one_live
+
+
+# scan decides what fires before it builds: only the directions whose G is
+# total are live, and a Certificate is built only where one fires.
+
+def _from_edges(labels, edges):
+    ground = GroundSet(tuple(labels))
+    images = [0] * ground.size
+    for x, y in edges:
+        images[ground.index(x)] |= 1 << ground.index(y)
+    return Multifunction(ground, tuple(images))
+
+
+def _total_not_onto():
+    # four 2-step chains b_i -> a_i -> x0, and x0 -> b1: every point has an
+    # image, b2..b4 have no preimage; Q = 4 at x0 and N = 1 everywhere else
+    edges = [(f"a{i}", "x0") for i in range(1, 5)] + [(f"b{i}", f"a{i}") for i in range(1, 5)]
+    return _from_edges(["x0"] + [f"{c}{i}" for c in "ab" for i in range(1, 5)],
+                       edges + [("x0", "b1")])
+
+
+def _rule_by_rule(F, M):
+    size = F.ground.size
+    return [c for rule in RULE_ORDER for c in check_rule(F, rule, M, range(size)) if c.fires]
+
+
+def _scan_instances():
+    yield from (f1(d) for d in range(3, 7))
+    yield from (invert(f1(d)) for d in range(3, 7))
+    yield from (f2(d) for d in range(2, 5))
+    yield from (invert(f2(d)) for d in range(2, 5))
+    yield _total_not_onto()
+    yield invert(_total_not_onto())
+    rng = random.Random(5)
+    for seed in range(200):
+        yield random_multifunction(rng.randint(1, 14), seed,
+                                   max_out_degree=rng.choice((None, 1, 2, 3)),
+                                   density=rng.choice((0.1, 0.2, 0.4, 0.7)))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(criteria, name)
+    monkeypatch.setattr(criteria, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_scan_builds_certificates_only_where_one_fires(monkeypatch):
+    checks = _counting(monkeypatch, "_check")
+    inversions = _counting(monkeypatch, "invert")
+    neither = fired = 0
+    for F in _scan_instances():
+        size = F.ground.size
+        onto = len(profile(F).image) == size
+        total = len(profile(F).domain) == size
+        for M in (1, 2, 3):
+            expected = _rule_by_rule(F, M)
+            del checks[:], inversions[:]
+            certs = scan(F, M)
+            assert certs == expected
+            assert len(checks) == len(certs)
+            assert len(inversions) == (0 if not (total or onto) else 1)
+            neither += not (total or onto)
+            fired += len(certs)
+    assert neither > 0 and fired > 0
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_scan_fires_in_the_one_live_direction(M):
+    forward = _total_not_onto()
+    backward = invert(forward)
+    for F, total, onto in ((forward, True, False), (backward, False, True)):
+        prof = profile(F)
+        assert (len(prof.domain) == F.ground.size, len(prof.image) == F.ground.size) == \
+            (total, onto)
+        certs = scan(F, M)
+        assert certs == _rule_by_rule(F, M)
+        x0 = F.ground.index("x0")
+        live = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS) if total else _INVERSE
+        assert [(c.rule, c.x0) for c in certs] == [(rule, x0) for rule in live]
+        assert all(c.measured_Q == 4 and c.N == 1 for c in certs)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import iterroot
 from iterroot.poly import (
     ComplexPolynomial,
+    _coeffs_close,
     _expand_shifted_monomial,
     advise,
     conjugate_to_special_cubic,
@@ -239,3 +241,77 @@ def test_advise_validation():
         advise(poly(0, 1), 2)  # degree 1
     with pytest.raises(ValueError):
         advise(poly(0, 0, 1), 1)  # order 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), float("1e309"),
+                                 complex(0, float("nan")), complex("1e309j"),
+                                 complex(1, -float("inf"))])
+def test_non_finite_coefficients_are_rejected(bad):
+    for coeffs in ((bad, 0, 1), (0, 1, 2, bad), (bad,)):
+        with pytest.raises(ValueError, match="not finite"):
+            ComplexPolynomial(coeffs)
+
+
+def test_coefficients_are_close_only_when_finite():
+    inf, nan = complex("inf"), complex("nan")
+    assert _coeffs_close([1, 2 + 1e-12], [1, 2], 1e-9)
+    assert not _coeffs_close([1, 3], [1, 2], 1e-9)
+    # inf is within tol * inf of anything, so it must not count as close
+    assert not _coeffs_close([inf, 2], [1, 2], 1e-9)
+    assert not _coeffs_close([inf], [inf], 1e-9)
+    assert not _coeffs_close([nan], [nan], 1e-9)
+
+
+def test_coefficient_closeness_is_exact_after_scaling():
+    # the former unscaled comparison, wherever abs() stays finite
+    def reference(a, b, tol):
+        return all(abs(x - y) <= tol * max(1.0, abs(x), abs(y)) for x, y in zip(a, b))
+
+    rng = random.Random(11)
+    for _ in range(3000):
+        scale = 10.0 ** rng.randint(-300, 300)
+        x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+        rel = rng.choice((0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-3))
+        y = x * complex(1 + rel * rng.uniform(-1.5, 1.5), rel * rng.uniform(-1.5, 1.5))
+        pair = ([1, x], [1, y]) if rng.random() < 0.5 else ([x], [y])
+        assert _coeffs_close(*pair, 1e-9) == reference(*pair, 1e-9)
+    # |1.3e308 (1 + i)| exceeds the float range, where abs() raises
+    huge = complex(1.3e308, 1.3e308)
+    assert _coeffs_close([huge, 1], [huge * (1 + 1e-12), 1], 1e-9)
+    assert not _coeffs_close([huge], [-huge], 1e-9)
+
+
+@pytest.mark.parametrize("coeffs", [(1.3e308 + 1.3e308j, 1, -1, 1), (0, 0, 1.3e308 + 1.3e308j, 1),
+                                    (0, 1, -1, 1.3e308 + 1.3e308j)])
+def test_huge_finite_coefficients_give_advice_without_overflow(coeffs):
+    advice = _advice_without_warnings(coeffs, 5)
+    assert [f.rule for f in advice.findings] == ["PrimeOrder"]
+
+
+def _advice_without_warnings(coeffs, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return advise(poly(*coeffs), n)
+
+
+def test_overflowing_shifted_monomial_match_is_no_finding():
+    # z^2 + 1e300 z + 5 is not alpha (z - beta)^2 + beta: the constant term of
+    # the candidate, about 2.5e599, overflows to inf and matched 5
+    assert shifted_monomial_parameters(poly(5, 1e300, 1)) is None
+    rules = {f.rule for f in _advice_without_warnings((5, 1e300, 1), 3).findings}
+    assert rules == {"Quadratic", "RiceDegree", "PrimeOrder"}
+
+
+def test_overflowing_conjugacy_test_backs_no_finding():
+    # h o p o h^-1 overflows for 1e300 z^3 + 2 z^2 + z, so the cubic cannot be
+    # told apart from the special cubic and CubicSpecial must not fire
+    assert conjugate_to_special_cubic(poly(0, 1, 2, 1e300))
+    assert _advice_without_warnings((0, 1, 2, 1e300), 2).findings == ()
+
+
+def test_roots_out_of_floating_point_range_are_an_error():
+    # the companion matrix of 1e-320 z^3 + 2 z^2 + z holds 2/1e-320 = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coefficient ratios overflow"):
+            polynomial_roots(poly(0, 1, 2, 1e-320))
