@@ -2,8 +2,11 @@
 polynomial advice, and instance emission.
 
 Every command is pure input to output; all randomness is seed-parameterized.
-Exit codes: ``check`` 0 when a certificate fires / 1 when none; ``search``
-0 witness / 1 exhausted / 3 budget exceeded; 2 on input errors everywhere.
+Each loads its input, makes one library call and renders the result; the
+library function that consumes a malformed value raises ValueError, which
+``main`` prints as one ``error:`` line.  Exit codes: ``check`` 0 when a
+certificate fires / 1 when none; ``search`` 0 witness / 1 exhausted / 3 budget
+exceeded; 2 on input errors everywhere.
 """
 from __future__ import annotations
 
@@ -20,23 +23,26 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _load(path: str) -> Multifunction | SingleMap:
     try:
         with open(path, encoding="utf-8") as handle:
             return mfnio.parse(handle.read())
     except OSError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     except mfnio.ParseError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_multifunction(path: str) -> Multifunction:
     value = _load(path)
     return value.as_multifunction() if isinstance(value, SingleMap) else value
+
+
+def _index(ground, label: str) -> int:
+    try:
+        return ground.index(label)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from exc
 
 
 def _labels(ground, indices) -> list[str]:
@@ -71,18 +77,10 @@ def _print_certificate(ground, cert: criteria.Certificate) -> None:
 def cmd_check(args) -> int:
     F = _load_multifunction(args.file)
     ground = F.ground
-    if args.M < 1:
-        raise InputError("M must be positive")
     if args.rule == "scan":
         certs = criteria.scan(F, args.M)
     else:
-        if args.x0 is not None:
-            try:
-                points = [ground.index(args.x0)]
-            except KeyError as exc:
-                raise InputError(str(exc)) from exc
-        else:
-            points = range(ground.size)
+        points = range(ground.size) if args.x0 is None else [_index(ground, args.x0)]
         certs = [cert for cert in criteria.check_rule(F, criteria.Rule(args.rule), args.M,
                                                       points, args.N)
                  if cert.fires or args.x0 is not None]
@@ -99,20 +97,16 @@ def cmd_check(args) -> int:
 
 def cmd_search(args) -> int:
     value = _load(args.file)
-    if args.budget < 1:
-        raise InputError("budget must be positive")
-    if args.order < 2:
-        raise InputError("order must be at least 2")
-    if isinstance(value, SingleMap) and not (args.max_out or args.max_in):
+    if args.max_out is not None and args.max_in is not None:
+        raise ValueError("--max-out and --max-in are mutually exclusive")
+    if isinstance(value, SingleMap) and args.max_out is None and args.max_in is None:
         result = search.find_single_root(value, args.order, budget=args.budget,
                                          max_points=value.ground.size)
     else:
         F = value.as_multifunction() if isinstance(value, SingleMap) else value
-        if args.max_out and args.max_in:
-            raise InputError("--max-out and --max-in are mutually exclusive")
-        if args.max_out:
+        if args.max_out is not None:
             constraint = search.max_out_degree(args.max_out, args.total)
-        elif args.max_in:
+        elif args.max_in is not None:
             constraint = search.max_in_degree(args.max_in, args.total)
         else:
             constraint = search.RootConstraint(require_total_domain=args.total)
@@ -137,8 +131,6 @@ def cmd_search(args) -> int:
 
 def cmd_iterate(args) -> int:
     value = _load(args.file)
-    if args.order < 0:
-        raise InputError("order must be nonnegative")
     if isinstance(value, SingleMap):
         sys.stdout.write(mfnio.serialize(iterate_map(value, args.order)))
     else:
@@ -166,20 +158,11 @@ def cmd_pullback(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _point_list(ground, csv: str) -> list[int]:
-    try:
-        return [ground.index(lab) for lab in csv.split(",") if lab]
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def cmd_paths(args) -> int:
     from .paths import count_paths
     F = _load_multifunction(args.file)
-    if args.length < 1:
-        raise InputError("length must be at least 1")
-    sources = _point_list(F.ground, getattr(args, "from"))
-    targets = _point_list(F.ground, args.to)
+    sources = [_index(F.ground, lab) for lab in getattr(args, "from").split(",") if lab]
+    targets = [_index(F.ground, lab) for lab in args.to.split(",") if lab]
     print(count_paths(F, sources, targets, args.length))
     return EXIT_OK
 
@@ -187,7 +170,7 @@ def cmd_paths(args) -> int:
 def cmd_fixedpoints(args) -> int:
     value = _load(args.file)
     if not isinstance(value, SingleMap):
-        raise InputError("fixedpoints requires a 'kind single' input")
+        raise ValueError("fixedpoints requires a 'kind single' input")
     ground = value.ground
     prof = fixedpoint.fixed_point_profile(value)
     print("fixed points: " + (" ".join(_labels(ground, prof.fixed_points)) or "(none)"))
@@ -199,13 +182,7 @@ def cmd_fixedpoints(args) -> int:
     print(f"total tail size: {prof.total_tail_size}")
     for name, exclusion in (("tail-mass", fixedpoint.rice_exclusion(value)),
                             ("non-isolated-count", fixedpoint.non_isolated_exclusion(value))):
-        if exclusion is None:
-            print(f"{name} exclusion: not applicable")
-        elif exclusion.forbidden_divisor_max is None:
-            print(f"{name} exclusion: all orders n > {exclusion.lower_bound}")
-        else:
-            print(f"{name} exclusion: orders n > {exclusion.lower_bound} with no divisor "
-                  f"in [2, {exclusion.forbidden_divisor_max}]")
+        print(f"{name} exclusion: {exclusion.describe() if exclusion else 'not applicable'}")
     return EXIT_OK
 
 
@@ -214,16 +191,13 @@ def _parse_complex(token: str) -> complex:
     try:
         return complex(token[:-1] + "j" if token.endswith("i") else token)
     except ValueError as exc:
-        raise InputError(f"bad complex coefficient {token!r}") from exc
+        raise ValueError(f"bad complex coefficient {token!r}") from exc
 
 
 def cmd_poly(args) -> int:
     coeffs = tuple(_parse_complex(tok) for tok in args.coeffs.split(","))
-    try:
-        polynomial = poly.ComplexPolynomial(coeffs)
-        advice = poly.advise(polynomial, args.order)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    polynomial = poly.ComplexPolynomial(coeffs)
+    advice = poly.advise(polynomial, args.order)
     if args.json:
         findings = []
         for f in advice.findings:
@@ -243,11 +217,8 @@ def cmd_poly(args) -> int:
         for f in advice.findings:
             if isinstance(f.excluded, frozenset):
                 desc = "orders " + ", ".join(str(n) for n in sorted(f.excluded))
-            elif f.excluded.forbidden_divisor_max is None:
-                desc = f"all orders n > {f.excluded.lower_bound}"
             else:
-                desc = (f"orders n > {f.excluded.lower_bound} with no divisor in "
-                        f"[2, {f.excluded.forbidden_divisor_max}]")
+                desc = f.excluded.describe()
             tol = f" (tolerance {f.tolerance})" if f.tolerance is not None else ""
             print(f"{f.rule}: excludes {desc}{tol} [{f.citation}]")
         print(f"order {args.order} excluded: {advice.excludes_order(args.order)}")
@@ -255,8 +226,6 @@ def cmd_poly(args) -> int:
 
 
 def cmd_solar(args) -> int:
-    if args.count < 1:
-        raise InputError("count must be positive")
     print(" ".join(str(d) for d in poly.first_solar(args.count)))
     return EXIT_OK
 
@@ -266,11 +235,7 @@ def cmd_instance(args) -> int:
         name=args.name, depth=args.depth, modulus=args.modulus, exponent=args.exponent,
         variant=args.variant, size=args.size, max_out_degree=args.max_out,
         density=args.density, seed=args.seed)
-    try:
-        value = instances.build(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    sys.stdout.write(mfnio.serialize(value))
+    sys.stdout.write(mfnio.serialize(instances.build(spec)))
     return EXIT_OK
 
 
@@ -354,9 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -88,11 +88,6 @@ class Multifunction:
     def out_degree(self, x: int) -> int:
         return self.images[x].bit_count()
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for x, m in enumerate(self.images):
-            for y in bits(m):
-                yield (x, y)
-
 
 @dataclass(frozen=True)
 class SingleMap:

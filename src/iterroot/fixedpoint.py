@@ -26,9 +26,6 @@ class FixedPointProfile:
     total_tail_size: int
     tail_preimage_nonempty: dict[int, bool]
 
-    def is_isolated(self, x: int) -> bool:
-        return not self.tails[x]
-
 
 @dataclass(frozen=True)
 class OrderExclusion:
@@ -45,6 +42,12 @@ class OrderExclusion:
         if self.forbidden_divisor_max is None:
             return True
         return all(n % m for m in range(2, self.forbidden_divisor_max + 1))
+
+    def describe(self) -> str:
+        if self.forbidden_divisor_max is None:
+            return f"all orders n > {self.lower_bound}"
+        return (f"orders n > {self.lower_bound} with no divisor in "
+                f"[2, {self.forbidden_divisor_max}]")
 
 
 def fixed_point_profile(f: SingleMap) -> FixedPointProfile:

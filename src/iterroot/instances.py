@@ -132,6 +132,10 @@ def _ground(size: int) -> GroundSet:
 
 def random_multifunction(size: int, seed: int, max_out_degree: int | None = None,
                          density: float = 0.5) -> Multifunction:
+    if not 0 <= density <= 1:  # nan fails too
+        raise ValueError(f"density must be in [0, 1], got {density}")
+    if max_out_degree is not None and max_out_degree < 0:
+        raise ValueError(f"max_out_degree must be nonnegative, got {max_out_degree}")
     rng = random.Random(seed)
     images = []
     for _ in range(size):

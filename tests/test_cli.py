@@ -114,6 +114,21 @@ def test_search_conflicting_constraints_rejected(write, capsys):
     assert "mutually exclusive" in err
 
 
+@pytest.mark.parametrize("single, flags, message", [
+    (False, ("--max-out", "0"), "positive bound"),
+    (False, ("--max-in", "0"), "positive bound"),
+    (True, ("--max-out", "0"), "positive bound"),
+    (True, ("--max-in", "0"), "positive bound"),
+    (True, ("--max-in", "0", "--max-out", "2"), "mutually exclusive"),
+])
+def test_search_zero_degree_bound_rejected(write, capsys, single, flags, message):
+    # 0 is a bound, not the absence of one, and a degree-bounded class needs a positive one
+    path = write("f.mfn", fig67()[0] if single else f1(3))
+    code, out, err = run(capsys, "search", path, "--order", "2", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_iterate_matches_library(write, capsys):
     F = f2(3)
     path = write("f2.mfn", F)
@@ -225,6 +240,49 @@ def test_instance_unknown_name_is_input_error(capsys):
     assert "unknown instance" in err
 
 
+@pytest.mark.parametrize("density, max_out", [("nan", "2"), ("2", "2"), ("-1", "2"),
+                                              ("0.5", "-1")])
+def test_instance_random_mf_rejects_out_of_range_parameters(capsys, density, max_out):
+    code, out, err = run(capsys, "instance", "random-mf", "--size", "5", "--seed", "7",
+                         "--density", density, "--max-out", max_out)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "density" in err or "max_out_degree" in err
+
+
+# each malformed value is rejected by the library function that consumes it;
+# {f1} is a multifunction file, {map} a single map, {bad} fails to parse
+@pytest.mark.parametrize("argv, fragment", [
+    (("check", "{f1}", "--M", "0"), "M must be positive"),
+    (("check", "{f1}", "--rule", "forward-paths", "--M", "0"), "M and N must be positive"),
+    (("search", "{f1}", "--order", "2", "--budget", "0"), "budget must be positive"),
+    (("search", "{map}", "--order", "4", "--budget", "0"), "budget must be positive"),
+    (("search", "{f1}", "--order", "1"), "order must be at least 2"),
+    (("search", "{map}", "--order", "1"), "order must be at least 2"),
+    (("iterate", "{f1}", "--order", "-1"), "must be nonnegative"),
+    (("iterate", "{map}", "--order", "-1"), "must be nonnegative"),
+    (("paths", "{f1}", "--from", "x0", "--to", "x1", "--length", "0"), "length at least 1"),
+    (("solar", "--count", "0"), "count must be positive"),
+    (("check", "{f1}", "--rule", "forward-paths", "--x0", "nope"), "unknown label 'nope'"),
+    (("check", "{f1}", "--rule", "forward-paths", "--x0", "x0,x1"), "unknown label 'x0,x1'"),
+    (("paths", "{f1}", "--from", "x0,nope", "--to", "x1", "--length", "2"),
+     "unknown label 'nope'"),
+    (("paths", "{f1}", "--from", "x0", "--to", "nope", "--length", "2"),
+     "unknown label 'nope'"),
+    (("check", "/does/not/exist.mfn"), "No such file"),
+    (("check", "{bad}"), "bad.mfn: undeclared label q at line 2"),
+])
+def test_malformed_input_exits_2_with_one_line(write, tmp_path, capsys, argv, fragment):
+    bad = tmp_path / "bad.mfn"
+    bad.write_text("points a\nq -> a\n", encoding="utf-8")
+    files = {"f1": write("f1.mfn", f1(3)), "map": write("map.mfn", fig67()[0]), "bad": str(bad)}
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    message = err[len("error: "):].strip()
+    assert fragment in message and message[0] not in "\"'", err
+
+
 @pytest.mark.parametrize("extra", [(), ("--N", "2"), ("--x0", "x1")])
 def test_check_one_rule_builds_one_view(write, capsys, monkeypatch, extra):
     # one view per command, not one per witness point, which made the
@@ -257,6 +315,25 @@ def test_poly_non_finite_coefficient_is_input_error(capsys, coeffs):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_poly_root_finder_overflow_keeps_exact_findings(capsys, json_flag):
+    # the companion matrix of 1e-320 z^3 + 2 z^2 + z overflows; only CubicSpecial
+    # reads fixed points, so it alone abstains and PrimeOrder still excludes 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "poly", "--coeffs", "0,1,2,1e-320", "--order", "5",
+                             *json_flag)
+    assert (code, err) == (0, "")
+    if json_flag:
+        payload = json.loads(out)
+        assert payload["excludes_order"] is True
+        assert [f["rule"] for f in payload["findings"]] == ["PrimeOrder"]
+        assert payload["findings"][0]["excluded"] == {"orders": [5]}
+    else:
+        assert out == ("PrimeOrder: excludes orders 5 [Choczewski & Kuczma 1992, Thm. 1]\n"
+                       "order 5 excluded: True\n")
 
 
 def test_poly_overflowing_cubic_asserts_nothing(capsys):

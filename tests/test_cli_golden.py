@@ -1,7 +1,8 @@
 """Golden output of the CLI: text and JSON must stay byte-identical.
 
 The expected ``check`` strings were produced by the dense-matrix checkers
-that the closed-form certificates replaced.  The expected outputs of the
+that the closed-form certificates replaced, and the expected ``poly``
+strings by the CLI that still formatted each order window itself.  The expected outputs of the
 graph commands (``paths``, ``iterate``, ``invert``, ``pullback``,
 ``fixedpoints``) were produced by the dense path matrix, the left-composed
 iterate and the bitmask .mfn reader and writer that preceded the edge-wise
@@ -300,3 +301,70 @@ def test_graph_command_output_is_byte_identical(tmp_path, capsys, name, args, co
     assert main([args[0], str(path), *args[1:]]) == code
     out = capsys.readouterr().out
     assert out == expected or _sha(out) == expected
+
+
+# z^3 fires Solar, RiceDegree (an order window), PrimeOrder and ShiftedMonomialPrime
+POLY_Z3_ORDER_7 = """\
+Solar: excludes all orders n > 1 [Solarz 1976; list in Riesel 1964]
+RiceDegree: excludes all orders n > 6 [Rice, Schweizer & Sklar 1980, Thm. 4]
+PrimeOrder: excludes orders 7 [Choczewski & Kuczma 1992, Thm. 1]
+ShiftedMonomialPrime: excludes orders 3 (tolerance 1e-09) [non-isolated fixed-point divisibility rule]
+order 7 excluded: True
+"""
+
+POLY_Z3_ORDER_7_JSON = """\
+{
+  "degree": 3,
+  "excludes_order": true,
+  "findings": [
+    {
+      "citation": "Solarz 1976; list in Riesel 1964",
+      "excluded": {
+        "forbidden_divisor_max": null,
+        "lower_bound": 1
+      },
+      "rule": "Solar",
+      "tolerance": null
+    },
+    {
+      "citation": "Rice, Schweizer & Sklar 1980, Thm. 4",
+      "excluded": {
+        "forbidden_divisor_max": null,
+        "lower_bound": 6
+      },
+      "rule": "RiceDegree",
+      "tolerance": null
+    },
+    {
+      "citation": "Choczewski & Kuczma 1992, Thm. 1",
+      "excluded": {
+        "orders": [
+          7
+        ]
+      },
+      "rule": "PrimeOrder",
+      "tolerance": null
+    },
+    {
+      "citation": "non-isolated fixed-point divisibility rule",
+      "excluded": {
+        "orders": [
+          3
+        ]
+      },
+      "rule": "ShiftedMonomialPrime",
+      "tolerance": 1e-09
+    }
+  ],
+  "order": 7
+}
+"""
+
+
+@pytest.mark.parametrize("args, expected", [
+    ((), POLY_Z3_ORDER_7),
+    (("--json",), POLY_Z3_ORDER_7_JSON),
+])
+def test_poly_output_is_byte_identical(capsys, args, expected):
+    assert main(["poly", "--coeffs", "0,0,0,1", "--order", "7", *args]) == 0
+    assert capsys.readouterr().out == expected

@@ -73,6 +73,12 @@ def test_non_isolated_exclusion_fig67():
     assert not exclusion.excludes(2)
 
 
+def test_exclusion_describes_its_window():
+    assert OrderExclusion(8, None, "tail-mass").describe() == "all orders n > 8"
+    assert OrderExclusion(2, 4, "non-isolated-count").describe() == \
+        "orders n > 2 with no divisor in [2, 4]"
+
+
 def test_non_isolated_exclusion_needs_two_fixed_points():
     assert non_isolated_exclusion(three_point_collapse()) is None
 

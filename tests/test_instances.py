@@ -110,3 +110,10 @@ def test_build_rejects_unknown_or_incomplete_specs():
         build(InstanceSpec("cyclic-power", modulus=5))
     with pytest.raises(ValueError):
         build(InstanceSpec("random-mf", size=4))
+
+
+@pytest.mark.parametrize("kwargs", [{"density": float("nan")}, {"density": 2.0},
+                                    {"density": -1.0}, {"max_out_degree": -1}])
+def test_random_multifunction_rejects_out_of_range_parameters(kwargs):
+    with pytest.raises(ValueError, match="density|max_out_degree"):
+        random_multifunction(5, seed=7, **kwargs)

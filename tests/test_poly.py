@@ -315,3 +315,11 @@ def test_roots_out_of_floating_point_range_are_an_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="coefficient ratios overflow"):
             polynomial_roots(poly(0, 1, 2, 1e-320))
+
+
+def test_root_finder_overflow_silences_only_cubic_special():
+    # PrimeOrder needs no roots, so an overflowing root finder must not void it
+    advice = _advice_without_warnings((0, 1, 2, 1e-320), 5)
+    assert [f.rule for f in advice.findings] == ["PrimeOrder"]
+    assert advice.excludes_order(5)
+    assert _advice_without_warnings((0, 1, 2, 1e-320), 2).findings == ()
