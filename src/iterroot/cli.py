@@ -16,6 +16,7 @@ import sys
 
 from . import criteria, fixedpoint, instances, mfnio, poly, pullback, search
 from .core import Multifunction, SingleMap, invert, iterate, iterate_map
+from .paths import count_paths
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -78,6 +79,8 @@ def cmd_check(args) -> int:
     F = _load_multifunction(args.file)
     ground = F.ground
     if args.rule == "scan":
+        if args.x0 is not None or args.N is not None:
+            raise ValueError("--x0 and --N need a single --rule; scan picks its own")
         certs = criteria.scan(F, args.M)
     else:
         points = range(ground.size) if args.x0 is None else [_index(ground, args.x0)]
@@ -139,8 +142,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    F = _load_multifunction(args.file)
-    sys.stdout.write(mfnio.serialize(invert(F)))
+    sys.stdout.write(mfnio.serialize(invert(_load(args.file))))
     return EXIT_OK
 
 
@@ -159,7 +161,6 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    from .paths import count_paths
     F = _load_multifunction(args.file)
     sources = [_index(F.ground, lab) for lab in getattr(args, "from").split(",") if lab]
     targets = [_index(F.ground, lab) for lab in args.to.split(",") if lab]

@@ -19,6 +19,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def union_of(images: list[int] | tuple[int, ...], mask: int) -> int:
+    """The union of images[y] over the points y of mask."""
+    out = 0
+    for y in bits(mask):
+        out |= images[y]
+    return out
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -133,13 +141,7 @@ def compose(F: Multifunction, G: Multifunction) -> Multifunction:
     """Return F after G: ``(F o G)(x)`` is the union of F over G(x)."""
     if F.ground != G.ground:
         raise ValueError("composition requires a shared ground set")
-    out = []
-    for m in G.images:
-        u = 0
-        for y in bits(m):
-            u |= F.images[y]
-        out.append(u)
-    return Multifunction(F.ground, tuple(out))
+    return Multifunction(F.ground, [union_of(F.images, m) for m in G.images])
 
 
 def iterate(F: Multifunction, n: int) -> Multifunction:
@@ -173,10 +175,7 @@ def iterate_map(f: SingleMap, n: int) -> SingleMap:
 
 def image(F: Multifunction, A: Iterable[int]) -> frozenset[int]:
     """The image of a point set: the union of the images of its points."""
-    u = 0
-    for x in A:
-        u |= F.images[x]
-    return set_of(u)
+    return set_of(union_of(F.images, mask_of(A)))
 
 
 def inverse_image(F: Multifunction, A: Iterable[int], k: int) -> frozenset[int]:
@@ -190,12 +189,16 @@ def inverse_image(F: Multifunction, A: Iterable[int], k: int) -> frozenset[int]:
     return frozenset(x for x in range(F.ground.size) if Fk.images[x] & amask)
 
 
-def invert(F: Multifunction) -> Multifunction:
-    """Reverse every edge of the graph of F."""
+def invert(F: Multifunction | SingleMap) -> Multifunction:
+    """Reverse every edge of the graph of F; for a map f, its pullback x -> f^-1(x)."""
     inv = [0] * F.ground.size
-    for x, m in enumerate(F.images):
-        for y in bits(m):
+    if isinstance(F, SingleMap):
+        for x, y in enumerate(F.image):
             inv[y] |= 1 << x
+    else:
+        for x, m in enumerate(F.images):
+            for y in bits(m):
+                inv[y] |= 1 << x
     return Multifunction(F.ground, tuple(inv))
 
 

@@ -10,7 +10,7 @@ route into the hub.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import GroundSet, Multifunction, SingleMap, mask_of
 
@@ -158,27 +158,29 @@ def random_permutation(size: int, seed: int) -> SingleMap:
     return SingleMap(_ground(size), tuple(perm))
 
 
+# name -> (constructor, required spec fields, optional spec fields)
+_BUILDERS = {
+    "f1": (f1, (), ("depth",)),
+    "f2": (f2, (), ("depth",)),
+    "fig67-f": (lambda: fig67()[0], (), ()),
+    "fig67-g": (lambda: fig67()[1], (), ()),
+    "cyclic-power": (cyclic_power, ("modulus", "exponent"), ("variant",)),
+    "random-mf": (random_multifunction, ("size", "seed"), ("max_out_degree", "density")),
+    "random-map": (random_single_map, ("size", "seed"), ()),
+}
+
+
 def build(spec: InstanceSpec):
-    """Dispatch a spec to its constructor; unknown names or parameters raise."""
-    if spec.name == "f1":
-        return f1(spec.depth if spec.depth is not None else 3)
-    if spec.name == "f2":
-        return f2(spec.depth if spec.depth is not None else 3)
-    if spec.name == "fig67-f":
-        return fig67()[0]
-    if spec.name == "fig67-g":
-        return fig67()[1]
-    if spec.name == "cyclic-power":
-        if spec.modulus is None or spec.exponent is None:
-            raise ValueError("cyclic-power needs modulus and exponent")
-        return cyclic_power(spec.modulus, spec.exponent, spec.variant or "add")
-    if spec.name == "random-mf":
-        if spec.size is None or spec.seed is None:
-            raise ValueError("random-mf needs size and seed")
-        return random_multifunction(spec.size, spec.seed, spec.max_out_degree,
-                                    spec.density if spec.density is not None else 0.5)
-    if spec.name == "random-map":
-        if spec.size is None or spec.seed is None:
-            raise ValueError("random-map needs size and seed")
-        return random_single_map(spec.size, spec.seed)
-    raise ValueError(f"unknown instance name {spec.name!r}")
+    """Dispatch a spec to its constructor; unknown names, fields the instance
+    does not take, and missing or out-of-range parameters raise."""
+    if spec.name not in _BUILDERS:
+        raise ValueError(f"unknown instance name {spec.name!r}")
+    make, required, optional = _BUILDERS[spec.name]
+    given = {f.name: getattr(spec, f.name) for f in fields(spec)
+             if f.name != "name" and getattr(spec, f.name) is not None}
+    unused = [name for name in given if name not in required + optional]
+    if unused:
+        raise ValueError(f"instance {spec.name} does not take {', '.join(unused)}")
+    if any(name not in given for name in required):
+        raise ValueError(f"{spec.name} needs {' and '.join(required)}")
+    return make(**given)

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multifunction, SingleMap, bits, compose, equals, iterate, iterate_map, profile
+from .core import (Multifunction, SingleMap, bits, compose, equals, invert, iterate, iterate_map,
+                   profile)
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
     """The multifunction x -> preimage of x under f."""
-    images = [0] * f.ground.size
-    for x, y in enumerate(f.image):
-        images[y] |= 1 << x
-    return Multifunction(f.ground, tuple(images))
+    return invert(f)
 
 
 @dataclass(frozen=True)

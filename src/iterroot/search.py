@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import Multifunction, SingleMap, bits, equals, invert, iterate, iterate_map
+from .core import Multifunction, SingleMap, bits, equals, invert, iterate, iterate_map, union_of
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -96,14 +96,6 @@ def _cap_for(constraint: RootConstraint) -> int:
     return _MULTI_CAP_UNCONSTRAINED
 
 
-def _union(images: list[int] | tuple[int, ...], mask: int) -> int:
-    """The union of images[y] over the points y of mask."""
-    out = 0
-    for y in bits(mask):
-        out |= images[y]
-    return out
-
-
 def _candidates(size: int, constraint: RootConstraint) -> list[int]:
     """Candidate image masks in size-then-value order, one popcount level at a time."""
     lowest = 1 if constraint.require_total_domain else 0
@@ -112,28 +104,60 @@ def _candidates(size: int, constraint: RootConstraint) -> list[int]:
             for m in sorted(sum(1 << j for j in c) for c in combinations(range(size), k))]
 
 
-def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCONSTRAINED,
-                    budget: int = DEFAULT_BUDGET, max_points: int | None = None) -> SearchResult:
-    """Search for a multifunction G with G^n = F inside the constraint class."""
+def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstraint | None,
+            budget: int, cap: int, cap_text: str, engine) -> SearchResult:
+    """Check the request, then run ``engine()``, which returns ``(witness or None,
+    nodes)`` or raises _BudgetExceeded on node ``budget + 1``; a witness is
+    checked by iterating it, apart from the engine's incremental checks."""
     if n < 2:
         raise ValueError("root order must be at least 2")
     if budget <= 0:
         raise ValueError("budget must be positive")
-    size = F.ground.size
-    cap = max_points if max_points is not None else _cap_for(constraint)
+    size = target.ground.size
     if size > cap:
         raise ValueError(
-            f"ground of {size} points exceeds the cap {cap} for this constraint class; "
-            "pass max_points to override")
+            f"ground of {size} points exceeds {cap_text}; pass max_points to override")
+    start = time.perf_counter()
+    try:
+        witness, nodes = engine()
+    except _BudgetExceeded:
+        return SearchResult(n, constraint, "budget", None, budget + 1, budget,
+                            time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    if witness is None:
+        return SearchResult(n, constraint, "exhausted", None, nodes, budget, elapsed)
+    if not (iterate_map(witness, n) == target if isinstance(witness, SingleMap)
+            else equals(iterate(witness, n), target)):
+        raise RuntimeError(f"search witness is not an order-{n} root of the target")
+    return SearchResult(n, constraint, "witness", witness, nodes, budget, elapsed)
 
+
+def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCONSTRAINED,
+                    budget: int = DEFAULT_BUDGET, max_points: int | None = None) -> SearchResult:
+    """Search for a multifunction G with G^n = F inside the constraint class."""
+    cap = max_points if max_points is not None else _cap_for(constraint)
+    return _search(F, n, constraint, budget, cap, f"the cap {cap} for this constraint class",
+                   lambda: _multi_engine(F, n, constraint, budget))
+
+
+def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
+                     max_points: int | None = None) -> SearchResult:
+    """Search for a total map g with g^n = f, in canonical value order."""
+    cap = max_points if max_points is not None else _SINGLE_CAP
+    return _search(f, n, None, budget, cap, f"the single-map cap {cap}",
+                   lambda: _single_engine(f, n, budget))
+
+
+def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
+                  budget: int) -> tuple[Multifunction | None, int]:
+    size = F.ground.size
     candidates = _candidates(size, constraint)
     in_bound = constraint.bound if constraint.variant == MAX_IN_VARIANT else None
     fimgs = F.images
     fpreds = invert(F).images
     # per candidate m: its points, and F(m) for the commutation check at i
-    table = [(m, tuple(bits(m)), _union(fimgs, m)) for m in candidates]
+    table = [(m, tuple(bits(m)), union_of(fimgs, m)) for m in candidates]
 
-    start = time.perf_counter()
     imgs = [0] * size
     preds = [0] * size  # at depth i, preds[y] holds the points x < i with y in imgs[x]
     nodes = 0
@@ -146,7 +170,7 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
         for _ in range(n):
             if cur & ~decided:
                 complete = False
-            cur = _union(imgs, cur & decided)
+            cur = union_of(imgs, cur & decided)
         return cur == fimgs[x] if complete else not cur & ~fimgs[x]
 
     def rec(i: int) -> bool:
@@ -162,20 +186,20 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
         # cover what the other part misses.
         upper, lower = ~0, 0
         for x in bits(fpreds[i] & earlier):
-            fg = _union(fimgs, imgs[x])
+            fg = union_of(fimgs, imgs[x])
             upper &= fg
             if not fimgs[x] & ~decided:
-                lower |= fg & ~_union(imgs, fimgs[x] & earlier)
+                lower |= fg & ~union_of(imgs, fimgs[x] & earlier)
         # commutation at i itself, against F(G(i)) from the table
         fi = fimgs[i]
-        gf_rest = _union(imgs, fi & earlier)
+        gf_rest = union_of(imgs, fi & earlier)
         loops = fi & bit
         fi_decided = not fi & ~decided
         # orbits: only the points whose decided walk meets i within n - 1
         # steps can change, and those walks use no edge of i before they meet it
         reach = frontier = bit
         for _ in range(n - 1):
-            frontier = _union(preds, frontier) & ~reach
+            frontier = union_of(preds, frontier) & ~reach
             if not frontier:
                 break
             reach |= frontier
@@ -202,39 +226,18 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
         return False
 
     try:
-        found = rec(0)
-    except _BudgetExceeded:
-        return SearchResult(n, constraint, "budget", None, nodes, budget,
-                           time.perf_counter() - start)
-    elapsed = time.perf_counter() - start
-    if found:
-        witness = Multifunction(F.ground, tuple(imgs))
-        if not equals(iterate(witness, n), F):
-            raise RuntimeError(f"search witness is not an order-{n} root of the target")
-        return SearchResult(n, constraint, "witness", witness, nodes, budget, elapsed)
-    return SearchResult(n, constraint, "exhausted", None, nodes, budget, elapsed)
+        return (Multifunction(F.ground, tuple(imgs)) if rec(0) else None), nodes
+    finally:
+        del rec  # rec's closure holds rec: break the cycle so the lists are freed now
 
 
-def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
-                     max_points: int | None = None) -> SearchResult:
-    """Search for a total map g with g^n = f, in canonical value order."""
-    if n < 2:
-        raise ValueError("root order must be at least 2")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None, int]:
     size = f.ground.size
-    cap = max_points if max_points is not None else _SINGLE_CAP
-    if size > cap:
-        raise ValueError(
-            f"ground of {size} points exceeds the single-map cap {cap}; "
-            "pass max_points to override")
-
     fv = f.image
-    fpreds = invert(f.as_multifunction()).images  # fpreds[v]: the points x with f(x) = v
+    fpreds = invert(f).images  # fpreds[v]: the points x with f(x) = v
     fixed = sum(1 << x for x in range(size) if fv[x] == x)
     full = (1 << size) - 1
 
-    start = time.perf_counter()
     g = [0] * size
     preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
     nodes = 0
@@ -256,7 +259,7 @@ def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
         # n - k steps, and then it ends at walk[n - k]
         level = 1 << i
         for k in range(1, n):
-            level = _union(preds, level)
+            level = union_of(preds, level)
             if not level:
                 break
             if steps >= n - k and level & ~fpreds[walk[n - k]]:
@@ -292,14 +295,6 @@ def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
         return False
 
     try:
-        found = rec(0)
-    except _BudgetExceeded:
-        return SearchResult(n, None, "budget", None, nodes, budget,
-                           time.perf_counter() - start)
-    elapsed = time.perf_counter() - start
-    if found:
-        witness = SingleMap(f.ground, tuple(g))
-        if iterate_map(witness, n) != f:
-            raise RuntimeError(f"search witness is not an order-{n} root of the target")
-        return SearchResult(n, None, "witness", witness, nodes, budget, elapsed)
-    return SearchResult(n, None, "exhausted", None, nodes, budget, elapsed)
+        return (SingleMap(f.ground, tuple(g)) if rec(0) else None), nodes
+    finally:
+        del rec  # as in _multi_engine

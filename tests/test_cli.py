@@ -271,6 +271,11 @@ def test_instance_random_mf_rejects_out_of_range_parameters(capsys, density, max
      "unknown label 'nope'"),
     (("check", "/does/not/exist.mfn"), "No such file"),
     (("check", "{bad}"), "bad.mfn: undeclared label q at line 2"),
+    (("check", "{f1}", "--x0", "nope", "--N", "0", "--M", "2"), "need a single --rule"),
+    (("check", "{f1}", "--N", "2"), "need a single --rule"),
+    (("check", "{f1}", "--x0", "x1", "--json"), "need a single --rule"),
+    (("instance", "f1", "--depth", "3", "--density", "7", "--max-out", "-4", "--seed", "1"),
+     "instance f1 does not take max_out_degree, density, seed"),
 ])
 def test_malformed_input_exits_2_with_one_line(write, tmp_path, capsys, argv, fragment):
     bad = tmp_path / "bad.mfn"

@@ -303,6 +303,18 @@ def test_graph_command_output_is_byte_identical(tmp_path, capsys, name, args, co
     assert out == expected or _sha(out) == expected
 
 
+def test_invert_of_a_map_prints_its_pullback(tmp_path, capsys):
+    # one inversion serves both commands: the reversed graph of a map is its pullback
+    path = tmp_path / "map300.mfn"
+    path.write_text(serialize(GRAPH_FILES["map300"][0]), encoding="utf-8")
+    outputs = []
+    for command in ("invert", "pullback"):
+        assert main([command, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert _sha(outputs[0]) == "3c75c67d476aeb78b01bb43e32a8e13bb77c4521d3055fc1248ac40683f34f0e"
+
+
 # z^3 fires Solar, RiceDegree (an order window), PrimeOrder and ShiftedMonomialPrime
 POLY_Z3_ORDER_7 = """\
 Solar: excludes all orders n > 1 [Solarz 1976; list in Riesel 1964]

@@ -20,6 +20,7 @@ from iterroot.core import (
     mask_of,
     profile,
     set_of,
+    union_of,
 )
 from iterroot.instances import f1, fig67, random_multifunction
 
@@ -253,3 +254,15 @@ def test_equals_distinguishes_edge_removal():
 
 def test_mask_helpers_round_trip():
     assert set_of(mask_of([0, 3, 5])) == {0, 3, 5}
+
+
+def test_union_of_matches_the_naive_loop():
+    rng = random.Random(5)
+    for size in range(1, 8):
+        images = [rng.getrandbits(size) for _ in range(size)]
+        for mask in range(1 << size):
+            expected = 0
+            for y in range(size):
+                if mask >> y & 1:
+                    expected |= images[y]
+            assert union_of(images, mask) == union_of(tuple(images), mask) == expected

@@ -94,6 +94,7 @@ def test_random_permutation_is_a_bijection():
 def test_build_dispatches_all_names():
     assert equals(build(InstanceSpec("f1", depth=4)), f1(4))
     assert equals(build(InstanceSpec("f2")), f2(3))
+    assert equals(build(InstanceSpec("f2", depth=4)), f2(4))
     assert build(InstanceSpec("fig67-f")) == fig67()[0]
     assert build(InstanceSpec("fig67-g")) == fig67()[1]
     assert build(InstanceSpec("cyclic-power", modulus=5, exponent=2,
@@ -110,6 +111,18 @@ def test_build_rejects_unknown_or_incomplete_specs():
         build(InstanceSpec("cyclic-power", modulus=5))
     with pytest.raises(ValueError):
         build(InstanceSpec("random-mf", size=4))
+
+
+@pytest.mark.parametrize("spec, unused", [
+    (InstanceSpec("f1", depth=3, density=7.0, max_out_degree=-4, seed=1),
+     "max_out_degree, density, seed"),
+    (InstanceSpec("fig67-f", size=3), "size"),
+    (InstanceSpec("cyclic-power", modulus=5, exponent=2, seed=1), "seed"),
+    (InstanceSpec("random-map", size=4, seed=1, density=0.5), "density"),
+])
+def test_build_rejects_fields_the_instance_does_not_take(spec, unused):
+    with pytest.raises(ValueError, match=f"^instance {spec.name} does not take {unused}$"):
+        build(spec)
 
 
 @pytest.mark.parametrize("kwargs", [{"density": float("nan")}, {"density": 2.0},

@@ -27,6 +27,27 @@ def test_serialization_round_trip(F):
     assert equals(parse(serialize(F)), F)
 
 
+@st.composite
+def single_maps(draw, max_size=6):
+    size = draw(st.integers(1, max_size))
+    ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+    kind = draw(st.sampled_from(["constant", "permutation", "non-surjective"]))
+    if kind == "constant":
+        image = (draw(st.integers(0, size - 1)),) * size
+    elif kind == "permutation":
+        image = tuple(draw(st.permutations(range(size))))
+    else:  # misses the last point, or is constant on a one-point ground
+        image = tuple(draw(st.integers(0, max(size - 2, 0))) for _ in range(size))
+    return SingleMap(ground, image)
+
+
+@given(single_maps())
+def test_invert_of_a_map_is_invert_of_its_embedding(f):
+    inv = invert(f)
+    assert equals(inv, invert(f.as_multifunction()))
+    assert all(inv.images[y] >> x & 1 for x, y in enumerate(f.image))
+
+
 @given(multifunctions())
 def test_invert_is_involutive(F):
     assert equals(invert(invert(F)), F)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -152,6 +153,32 @@ def test_budget_exceeded_is_reported_not_misread_as_absence():
     assert result.outcome == "budget"
     assert result.witness is None
     assert result.nodes_explored >= 50
+
+
+_FOUR_CYCLE = SingleMap(GroundSet(tuple("abcd")), (1, 2, 3, 0))
+
+
+@pytest.mark.parametrize("run, outcome", [
+    (lambda: find_single_root(fig67()[0], 4, budget=50, max_points=20), "budget"),
+    (lambda: find_single_root(fig67()[0], 4, max_points=20), "witness"),
+    (lambda: find_single_root(_FOUR_CYCLE, 2), "exhausted"),
+    (lambda: find_multi_root(random_multifunction(5, seed=123), 3, budget=50), "budget"),
+    (lambda: find_multi_root(identity_multifunction(GroundSet(tuple("abc"))), 2), "witness"),
+    (lambda: find_multi_root(_FOUR_CYCLE.as_multifunction(), 2,
+                             max_out_degree(1, require_total_domain=True)), "exhausted"),
+], ids=["single-budget", "single-witness", "single-exhausted",
+        "multi-budget", "multi-witness", "multi-exhausted"])
+def test_a_search_leaves_no_cyclic_garbage(run, outcome):
+    # a search's lists must be freed when it returns: left in a reference
+    # cycle, they pile up until a full collection, and peak memory then
+    # depends on how many searches ran since the last one
+    gc.collect()
+    gc.disable()
+    try:
+        assert run().outcome == outcome
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_caps_refuse_oversized_grounds_without_override():
