@@ -51,18 +51,20 @@ class OrderExclusion:
 
 
 def fixed_point_profile(f: SingleMap) -> FixedPointProfile:
-    size = f.ground.size
-    preimages: list[set[int]] = [set() for _ in range(size)]
-    for x, y in enumerate(f.image):
-        preimages[y].add(x)
-    fixed = tuple(x for x in range(size) if f.image[x] == x)
-    tails = {x: frozenset(preimages[x] - {x}) for x in fixed}
+    image = f.image
+    fixed = tuple(x for x, y in enumerate(image) if x == y)
+    tails: dict[int, list[int]] = {x: [] for x in fixed}
+    has_preimage = bytearray(len(image))
+    for x, y in enumerate(image):
+        has_preimage[y] = 1
+        if x != y and image[y] == y:
+            tails[y].append(x)
+    frozen = {x: frozenset(t) for x, t in tails.items()}
     non_isolated = tuple(x for x in fixed if tails[x])
-    union: set[int] = set()
-    for x in non_isolated:
-        union |= tails[x]
-    flags = {y: bool(preimages[y]) for x in non_isolated for y in tails[x]}
-    return FixedPointProfile(fixed, tails, non_isolated, len(union), flags)
+    # the tails are disjoint, since each point has one image
+    total = sum(len(tails[x]) for x in non_isolated)
+    flags = {y: bool(has_preimage[y]) for x in non_isolated for y in tails[x]}
+    return FixedPointProfile(fixed, frozen, non_isolated, total, flags)
 
 
 def rice_exclusion(f: SingleMap) -> OrderExclusion | None:

@@ -15,13 +15,18 @@ newly decided point i, so at depth i only these are re-checked:
   these depend on the earlier points alone except for G(i), so they become
   per-depth bounds on the candidate image (a set of allowed values for a map);
 - the orbit of every decided x whose walk through decided points meets i
-  within n - 1 steps, i itself included.  The multi-map search finds these x
-  by a reverse walk from i over the edges of the earlier points and re-walks
-  each orbit; the single-map search walks forward from i once, and a point
-  that first meets i after k steps ends at step n - k of that walk.
+  within n - 1 steps, i itself included.  Both searches find these x by a
+  reverse walk from i over the edges of the earlier points.  The multi-map
+  search re-walks each orbit.  The single-map search does the reverse walk
+  once per depth: the points that first meet i after k steps must all have
+  the same f-image, which is then where step n - k of the walk from i must
+  end, as f(i) is for step n.  Each value is checked by one forward walk
+  from i against these endpoints.
 
-A search therefore explores exactly the nodes that a full re-check of every
-decided point at every node would explore.
+A node is one candidate image tried at one point, counted whether or not
+commutation allows it; the single-map search counts the values it excludes
+without visiting them.  A search therefore explores exactly the nodes that
+a full re-check of every decided point at every node would explore.
 """
 from __future__ import annotations
 
@@ -242,30 +247,6 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
     preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
     nodes = 0
 
-    def orbits_fit(i: int) -> bool:
-        # walk from i once through decided points, up to n steps
-        walk = [i]
-        cur = i
-        for _ in range(n):
-            if cur > i:
-                break
-            cur = g[cur]
-            walk.append(cur)
-        steps = len(walk) - 1
-        if steps == n and cur != fv[i]:
-            return False
-        # level k holds the earlier points whose walk first meets i after k
-        # steps; their n-step walk is complete iff the walk from i takes
-        # n - k steps, and then it ends at walk[n - k]
-        level = 1 << i
-        for k in range(1, n):
-            level = union_of(preds, level)
-            if not level:
-                break
-            if steps >= n - k and level & ~fpreds[walk[n - k]]:
-                return False
-        return True
-
     def rec(i: int) -> bool:
         nonlocal nodes
         if i == size:
@@ -281,17 +262,51 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             allowed &= fpreds[g[fi]]
         elif fi == i:
             allowed &= fixed
-        for v in range(size):
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            if allowed >> v & 1:
-                g[i] = v
-                if orbits_fit(i):
+        last = -1  # every value v counts as a node, visited or not
+        if allowed:
+            # ends[j - 1]: where step j of the walk from i must end, or None.
+            # Step n ends at f(i).  An earlier point whose walk first meets i
+            # after k steps has a complete orbit iff the walk from i takes
+            # n - k steps, and then it must end at the one f-image of level k
+            # (-1, which no walk reaches, when level k has several images).
+            ends = [None] * (n - 1) + [fi]
+            level = bit
+            for k in range(1, n):
+                m, level = level, 0
+                while m:
+                    low = m & -m
+                    level |= preds[low.bit_length() - 1]
+                    m ^= low
+                if not level:
+                    break
+                y = fv[(level & -level).bit_length() - 1]
+                ends[n - k - 1] = -1 if level & ~fpreds[y] else y
+            m = allowed
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                nodes += v - last
+                last = v
+                if nodes > budget:
+                    raise _BudgetExceeded
+                g[i] = cur = v
+                fits = True
+                for e in ends:  # the walk from i, through decided points only
+                    if e is not None and e != cur:
+                        fits = False
+                        break
+                    if cur > i:
+                        break
+                    cur = g[cur]
+                if fits:
                     preds[v] |= bit
                     if rec(i + 1):
                         return True
                     preds[v] ^= bit
+        nodes += size - 1 - last
+        if nodes > budget:
+            raise _BudgetExceeded
         return False
 
     try:

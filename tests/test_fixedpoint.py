@@ -1,5 +1,6 @@
 from iterroot.core import GroundSet, SingleMap, identity_map
 from iterroot.fixedpoint import (
+    FixedPointProfile,
     OrderExclusion,
     fixed_point_profile,
     non_isolated_exclusion,
@@ -115,3 +116,32 @@ def test_joint_soundness_against_oracle():
             for n in (2, 3, 5):
                 if exclusion.excludes(n):
                     assert find_single_root(f, n).outcome == "exhausted"
+
+
+def _reference_profile(f):
+    """The profile built from one preimage set per point."""
+    size = f.ground.size
+    preimages = [set() for _ in range(size)]
+    for x, y in enumerate(f.image):
+        preimages[y].add(x)
+    fixed = tuple(x for x in range(size) if f.image[x] == x)
+    tails = {x: frozenset(preimages[x] - {x}) for x in fixed}
+    non_isolated = tuple(x for x in fixed if tails[x])
+    union = set()
+    for x in non_isolated:
+        union |= tails[x]
+    flags = {y: bool(preimages[y]) for x in non_isolated for y in tails[x]}
+    return FixedPointProfile(fixed, tails, non_isolated, len(union), flags)
+
+
+def test_profile_equals_the_preimage_set_reference():
+    maps = [fig67()[0], three_point_collapse()]
+    for size in (1, 2, 5, 9):
+        ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+        maps.append(identity_map(ground))
+        maps.extend(SingleMap(ground, (c,) * size) for c in {0, size - 1})
+    for seed in range(60):
+        maps.append(random_single_map(2 + seed % 11, seed=seed))
+        maps.append(random_permutation(2 + seed % 11, seed=seed))
+    for f in maps:
+        assert fixed_point_profile(f) == _reference_profile(f), f.image

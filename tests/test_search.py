@@ -21,6 +21,7 @@ from iterroot.instances import (
     f2,
     fig67,
     random_multifunction,
+    random_permutation,
     random_single_map,
 )
 from iterroot.pullback import pullback_of
@@ -394,6 +395,29 @@ def test_incremental_single_search_explores_the_reference_nodes():
         assert got == _reference_single(f, n, budget), (f.image, n)
 
 
+def test_single_search_matches_the_reference_at_every_budget():
+    # the single-map search counts the values that commutation excludes in
+    # bulk, so an off-by-one there shows only at the budget it would cross;
+    # budget b ends at node b + 1, and b = nodes + 1 lets the search finish.
+    # Seven points would need 1,000-5,000 nodes, and a sweep over every
+    # budget costs the square of that.
+    rng = random.Random(20261019)
+    for trial in range(40):
+        size = rng.randint(3, 6)
+        n = rng.randint(2, 4)
+        make = (random_single_map, random_permutation, random_single_map)[trial % 3]
+        f = make(size, rng.randrange(2**31))
+        if trial % 3 == 2:  # a map with at least two fixed points
+            image = list(f.image)
+            for x in rng.sample(range(size), 2):
+                image[x] = x
+            f = SingleMap(f.ground, tuple(image))
+        nodes = _reference_single(f, n)[1]
+        for budget in range(1, nodes + 2):
+            got = _summary(find_single_root(f, n, budget=budget), "single")
+            assert got == _reference_single(f, n, budget), (f.image, n, budget)
+
+
 def test_incremental_multi_search_explores_the_reference_nodes():
     rng = random.Random(20261018)
     classes = (UNCONSTRAINED, max_out_degree(2), max_in_degree(2),
@@ -425,12 +449,19 @@ def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
     (lambda: f1(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 6_864),
     (lambda: f1(4), 2, max_out_degree(2, require_total_domain=True), "exhausted", 18_840),
     (lambda: f2(2), 2, max_out_degree(2, require_total_domain=True), "exhausted", 17_358),
+    # bench-shaped permutations: the search workload gives them 30,000 nodes,
+    # which the first two need no more than
+    (lambda: cyclic_power(12, 3, "add"), 2, None, "exhausted", 18_264),
+    (lambda: cyclic_power(13, 3, "add"), 2, None, "witness", 18_616),
+    (lambda: cyclic_power(12, 5, "add"), 2, None, "budget", 30_001),
 ])
 def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
     target = make()
     size = target.ground.size
+    # a budget verdict reports budget + 1 nodes, so its row names its budget
+    budget = nodes - 1 if outcome == "budget" else DEFAULT_BUDGET
     if constraint is None:
-        result = find_single_root(target, n, max_points=size)
+        result = find_single_root(target, n, budget=budget, max_points=size)
     else:
         result = find_multi_root(target, n, constraint, max_points=size)
     assert (result.outcome, result.nodes_explored) == (outcome, nodes)
