@@ -39,13 +39,6 @@ def _load_multifunction(path: str) -> Multifunction:
     return value.as_multifunction() if isinstance(value, SingleMap) else value
 
 
-def _index(ground, label: str) -> int:
-    try:
-        return ground.index(label)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from exc
-
-
 def _labels(ground, indices) -> list[str]:
     return [ground.labels[i] for i in sorted(indices)]
 
@@ -83,7 +76,7 @@ def cmd_check(args) -> int:
             raise ValueError("--x0 and --N need a single --rule; scan picks its own")
         certs = criteria.scan(F, args.M)
     else:
-        points = range(ground.size) if args.x0 is None else [_index(ground, args.x0)]
+        points = range(ground.size) if args.x0 is None else [ground.index(args.x0)]
         certs = [cert for cert in criteria.check_rule(F, criteria.Rule(args.rule), args.M,
                                                       points, args.N)
                  if cert.fires or args.x0 is not None]
@@ -162,8 +155,8 @@ def cmd_pullback(args) -> int:
 
 def cmd_paths(args) -> int:
     F = _load_multifunction(args.file)
-    sources = [_index(F.ground, lab) for lab in getattr(args, "from").split(",") if lab]
-    targets = [_index(F.ground, lab) for lab in args.to.split(",") if lab]
+    sources = [F.ground.index(lab) for lab in getattr(args, "from").split(",") if lab]
+    targets = [F.ground.index(lab) for lab in args.to.split(",") if lab]
     print(count_paths(F, sources, targets, args.length))
     return EXIT_OK
 
@@ -181,8 +174,8 @@ def cmd_fixedpoints(args) -> int:
         tail_str = " ".join(_labels(ground, tail)) or "-"
         print(f"  {ground.labels[x]}: {kind}, tail: {tail_str}")
     print(f"total tail size: {prof.total_tail_size}")
-    for name, exclusion in (("tail-mass", fixedpoint.rice_exclusion(value)),
-                            ("non-isolated-count", fixedpoint.non_isolated_exclusion(value))):
+    for name, exclusion in (("tail-mass", prof.rice_exclusion()),
+                            ("non-isolated-count", prof.non_isolated_exclusion())):
         print(f"{name} exclusion: {exclusion.describe() if exclusion else 'not applicable'}")
     return EXIT_OK
 

@@ -63,7 +63,7 @@ class GroundSet:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
+            raise ValueError(f"unknown label {label!r}") from None
 
 
 @dataclass(frozen=True)

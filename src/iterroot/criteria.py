@@ -11,8 +11,9 @@ Q is read in closed form off the inverse-image bitmasks ``preds`` of G, where
 G is F for the forward rules and ``invert(F)`` for the inverse ones.  The path
 rules count 2-paths into x0, Q = sum of indeg(y) over y in preds[x0]; the point
 rules count 2-step preimages, Q = |union of preds[y] over y in preds[x0]|.  The
-view of one direction (``profile(G)`` plus ``preds``) costs O(size + edges) to
-build, and all witnesses of one rule then cost O(size + edges) mask operations.
+side hypotheses read the same masks (indeg(y) is the popcount of preds[y]), so a
+direction's view costs O(size) past the one inversion of F, and all witnesses of
+one rule then cost O(size + edges) mask operations.
 Totality of G is a base hypothesis, so ``scan`` costs O(size) when F is neither
 total nor surjective, and otherwise one inversion, one view per live direction
 (G total) and one ``Certificate`` per firing witness.
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .core import Multifunction, StructuralProfile, bits, invert, profile
+from .core import Multifunction, bits, invert
 
 
 class Rule(str, Enum):
@@ -53,7 +54,21 @@ _CITATIONS = {
 _INVERSE_RULES = frozenset({Rule.INVERSE_PATHS, Rule.INVERSE_POINTS})
 _PATH_RULES = frozenset({Rule.FORWARD_PATHS, Rule.INVERSE_PATHS})
 
-_View = tuple[StructuralProfile, tuple[int, ...], Callable[[int], int]]
+
+class _View:
+    """One direction G of F, as the rules read it: G is F, or its reversal ``inv``
+    when ``inverse``.  ``n_max_at(x0)`` is the largest in-degree of G away from x0
+    (0 on a one-point ground), taken from the two largest ones."""
+
+    def __init__(self, F: Multifunction, inverse: bool, inv: Multifunction) -> None:
+        G, self.preds = (inv, F.images) if inverse else (F, inv.images)
+        self.in_degrees = indeg = [p.bit_count() for p in self.preds]
+        top = max(indeg)
+        top_at = indeg.index(top)
+        second = max(indeg[:top_at] + indeg[top_at + 1:], default=0)
+        self.n_max_at = lambda x0: second if x0 == top_at else top
+        self.total, self.onto = all(G.images), all(self.preds)
+        self.max_out_degree = max(m.bit_count() for m in G.images)
 
 
 @dataclass(frozen=True)
@@ -87,23 +102,11 @@ class Certificate:
         return self.conclusion is not Conclusion.NOT_APPLICABLE
 
 
-def _view(F: Multifunction, inverse: bool, inv: Multifunction) -> _View:
-    """One direction G of F (F, or its reversal ``inv`` when ``inverse``): its
-    profile, the inverse image of each point, and x0 -> the largest in-degree
-    of G away from x0 (0 on a one-point ground), from the two largest ones."""
-    G, preds = (inv, F.images) if inverse else (F, inv.images)
-    prof = profile(G)
-    indeg, top = prof.in_degrees, prof.max_in_degree
-    top_at = indeg.index(top)
-    second = max(indeg[:top_at] + indeg[top_at + 1:], default=0)
-    return prof, preds, lambda x0: second if x0 == top_at else top
-
-
 def _q(view: _View, rule: Rule, x0: int) -> int:
     """Q at x0 in closed form: 2-paths into x0, or 2-step preimages of x0."""
-    prof, preds, _ = view
+    preds = view.preds
     if rule in _PATH_RULES:
-        return sum(prof.in_degrees[y] for y in bits(preds[x0]))
+        return sum(view.in_degrees[y] for y in bits(preds[x0]))
     union = 0
     for y in bits(preds[x0]):
         union |= preds[y]
@@ -111,17 +114,15 @@ def _q(view: _View, rule: Rule, x0: int) -> int:
 
 
 def _check(view: _View, rule: Rule, x0: int, M: int, N: int) -> Certificate:
-    prof, preds, n_max_at = view
-    size = len(preds)
     Q = _q(view, rule, x0)
-    n_max = n_max_at(x0)
+    n_max = view.n_max_at(x0)
     hyps = {
-        "totality": len(prof.domain) == size,
-        "x0_not_fixed": x0 not in prof.fixed_membership,
+        "totality": view.total,
+        "x0_not_fixed": not view.preds[x0] >> x0 & 1,
         "Q_exceeds_MN3": Q > M * N**3,
         "N_bound_holds": n_max <= N,
-        "class_membership": prof.max_out_degree <= M,
-        "surjectivity_or_totality_extra": len(prof.image) == size,
+        "class_membership": view.max_out_degree <= M,
+        "surjectivity_or_totality_extra": view.onto,
     }
     failed = tuple(name for name, held in hyps.items() if not held)
     if any(name in BASE_HYPOTHESES for name in failed):
@@ -151,10 +152,10 @@ def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int],
 
     N defaults to the minimal N of each point.
     """
-    view = _view(F, rule in _INVERSE_RULES, invert(F))
+    view = _View(F, rule in _INVERSE_RULES, invert(F))
     certs = []
     for x0 in points:
-        bound = N if N is not None else max(1, view[2](x0))
+        bound = N if N is not None else max(1, view.n_max_at(x0))
         _validate(F, x0, M, bound)
         certs.append(_check(view, rule, x0, M, bound))
     return certs
@@ -192,7 +193,7 @@ RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.
 
 def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
     """Smallest admissible N: the largest relevant per-point 1-count away from x0."""
-    return max(1, _view(F, rule in _INVERSE_RULES, invert(F))[2](x0))
+    return max(1, _View(F, rule in _INVERSE_RULES, invert(F)).n_max_at(x0))
 
 
 def scan(F: Multifunction, M: int) -> list[Certificate]:
@@ -206,13 +207,13 @@ def scan(F: Multifunction, M: int) -> list[Certificate]:
     if not any(live.values()):
         return []
     inv = invert(F)
-    views = {inverse: _view(F, inverse, inv) for inverse, total in live.items() if total}
+    views = {inverse: _View(F, inverse, inv) for inverse, total in live.items() if total}
     found = []
     for rule in RULE_ORDER:
         view = views.get(rule in _INVERSE_RULES)
         for x0 in range(F.ground.size) if view else ():
-            N = max(1, view[2](x0))  # the minimal N, at which N_bound_holds
-            if x0 in view[0].fixed_membership or _q(view, rule, x0) <= M * N**3:
+            N = max(1, view.n_max_at(x0))  # the minimal N, at which N_bound_holds
+            if view.preds[x0] >> x0 & 1 or _q(view, rule, x0) <= M * N**3:
                 continue
             cert = _check(view, rule, x0, M, N)
             if not cert.fires:

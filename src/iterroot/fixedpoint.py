@@ -24,7 +24,26 @@ class FixedPointProfile:
     tails: dict[int, frozenset[int]]
     non_isolated: tuple[int, ...]
     total_tail_size: int
-    tail_preimage_nonempty: dict[int, bool]
+    tail_preimage_nonempty: dict[int, bool]  # keyed by the tail points
+
+    def rice_exclusion(self) -> OrderExclusion | None:
+        """Exclude orders above the total tail mass, when some tail point has a preimage."""
+        if not any(self.tail_preimage_nonempty.values()):
+            return None
+        return OrderExclusion(self.total_tail_size, None, "tail-mass")
+
+    def non_isolated_exclusion(self) -> OrderExclusion | None:
+        """Exclude orders above the largest tail size that are coprime to every
+        m up to the number of non-isolated fixed points.
+
+        Requires at least two non-isolated fixed points and a nonempty preimage
+        for every tail point; the count k is always taken from the full profile.
+        """
+        k = len(self.non_isolated)
+        if k < 2 or not all(self.tail_preimage_nonempty.values()):
+            return None
+        l = max(len(self.tails[x]) for x in self.non_isolated)
+        return OrderExclusion(l, k, "non-isolated-count")
 
 
 @dataclass(frozen=True)
@@ -68,34 +87,10 @@ def fixed_point_profile(f: SingleMap) -> FixedPointProfile:
 
 
 def rice_exclusion(f: SingleMap) -> OrderExclusion | None:
-    """Exclude orders above the total tail mass, when some tail point has a preimage."""
-    prof = fixed_point_profile(f)
-    applicable = any(
-        prof.tail_preimage_nonempty[y]
-        for x in prof.non_isolated
-        for y in prof.tails[x]
-    )
-    if not applicable:
-        return None
-    return OrderExclusion(prof.total_tail_size, None, "tail-mass")
+    """``FixedPointProfile.rice_exclusion`` of f's profile."""
+    return fixed_point_profile(f).rice_exclusion()
 
 
 def non_isolated_exclusion(f: SingleMap) -> OrderExclusion | None:
-    """Exclude orders above the largest tail size that are coprime to every
-    m up to the number of non-isolated fixed points.
-
-    Requires at least two non-isolated fixed points and a nonempty preimage
-    for every tail point; the count k is always taken from the full profile.
-    """
-    prof = fixed_point_profile(f)
-    k = len(prof.non_isolated)
-    if k < 2:
-        return None
-    if not all(
-        prof.tail_preimage_nonempty[y]
-        for x in prof.non_isolated
-        for y in prof.tails[x]
-    ):
-        return None
-    l = max(len(prof.tails[x]) for x in prof.non_isolated)
-    return OrderExclusion(l, k, "non-isolated-count")
+    """``FixedPointProfile.non_isolated_exclusion`` of f's profile."""
+    return fixed_point_profile(f).non_isolated_exclusion()

@@ -4,14 +4,14 @@ Exact rules (degree, primality, and the modular power criterion for pure
 power maps) use integer arithmetic only.  The two structural rules match
 coefficients numerically and report the tolerance they used.  Advice only
 ever asserts nonexistence: an empty findings list claims nothing.  numpy
-is imported inside the functions that use it, so that importing the package
-or starting the CLI does not load it.
+is imported inside ``polynomial_roots``, the only function that uses it, so
+that importing the package or starting the CLI does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fixedpoint import OrderExclusion
 
@@ -72,11 +72,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _solar(d: int, primes: Iterable[int]) -> bool:
+    return all(pow(d, p, p * p) != d % (p * p) for p in primes)
+
+
 def solar_criterion(d: int) -> bool:
     """True iff d^p and d differ modulo p^2 for every prime p <= d."""
     if d < 2:
         raise ValueError("degree must be at least 2")
-    return all(pow(d, p, p * p) != d % (p * p) for p in primes_upto(d))
+    return _solar(d, primes_upto(d))
 
 
 def first_solar(count: int) -> list[int]:
@@ -89,7 +93,7 @@ def first_solar(count: int) -> list[int]:
     while len(found) < count:
         if is_prime(d):
             primes.append(d)
-        if all(pow(d, p, p * p) != d % (p * p) for p in primes):
+        if _solar(d, primes):
             found.append(d)
         d += 1
     return found
@@ -188,15 +192,14 @@ def _coeffs_close(a: Sequence[complex], b: Sequence[complex], tol: float) -> boo
                for x, y in zip(a, b))
 
 
-def _expand_shifted_monomial(alpha: complex, beta: complex, d: int) -> list[complex]:
-    # alpha * (z - beta)^d + beta, low degree first; each step convolves
-    # with (-beta, 1) in pure Python, so that numpy is not imported
-    expanded = [1.0 + 0j]
-    for _ in range(d):
-        expanded = [a * -beta + b for a, b in zip(expanded + [0j], [0j] + expanded)]
-    expanded = [alpha * c for c in expanded]
-    expanded[0] += beta
-    return expanded
+def _affine_substitute(coeffs: Sequence[complex], s: complex, t: complex) -> list[complex]:
+    """Coefficients of p(s*z + t), low degree first, by Horner's rule in
+    (s*z + t); products only, since complex ** raises OverflowError."""
+    out = [complex(coeffs[-1])]
+    for c in reversed(coeffs[:-1]):
+        out = [t * a + s * b for a, b in zip(out + [0j], [0j] + out)]
+        out[0] += c
+    return out
 
 
 def shifted_monomial_parameters(poly: ComplexPolynomial) -> tuple[complex, complex] | None:
@@ -206,7 +209,8 @@ def shifted_monomial_parameters(poly: ComplexPolynomial) -> tuple[complex, compl
         return None
     alpha = poly.coefficients[d]
     beta = -poly.coefficients[d - 1] / (d * alpha)
-    candidate = _expand_shifted_monomial(alpha, beta, d)
+    candidate = [alpha * c for c in _affine_substitute((0,) * d + (1,), 1, -beta)]
+    candidate[0] += beta
     if _coeffs_close(candidate, list(poly.coefficients), COEFF_REL_TOL):
         return alpha, beta
     return None
@@ -214,33 +218,26 @@ def shifted_monomial_parameters(poly: ComplexPolynomial) -> tuple[complex, compl
 
 def conjugate_to_special_cubic(poly: ComplexPolynomial) -> bool:
     """Whether a cubic equals h o p o h^-1 for a linear h and the special
-    cubic p above; both scale roots are tried and coefficients matched.
+    cubic p(z) = z^3 - z^2 + z; both scale roots are tried and coefficients matched.
 
     A conjugate whose coefficients overflow cannot be told apart from the
     cubic, so it counts as a match: only a finite mismatch rules one out.
     """
     if poly.degree != 3:
         return False
-    import numpy as np
+    import cmath  # loaded only here, so that starting the CLI does not load it
 
-    c = list(poly.coefficients)  # c0..c3
-    with np.errstate(all="ignore"):
-        a0 = np.sqrt(1 / c[3])  # leading coefficient of h o p o h^-1 is 1/a^2
-        for a in (a0, -a0):
-            b = (-1 / a - c[2]) / (3 * c[3])
-            # conjugate p by h(z) = a z + b, expanded in z
-            w = np.array([-b / a, 1 / a], dtype=complex)  # (z - b)/a
-            w2 = np.convolve(w, w)
-            w3 = np.convolve(w2, w)
-            pw = np.zeros(4, dtype=complex)
-            pw[: len(w3)] += w3
-            pw[: len(w2)] -= w2
-            pw[: len(w)] += w
-            qw = a * pw
-            qw[0] += b
-            q = [complex(x) for x in qw]
-            if not all(map(_finite, q)) or _coeffs_close(q, c, COEFF_REL_TOL):
-                return True
+    c = poly.coefficients
+    a0 = cmath.sqrt(1 / c[3])  # leading coefficient of h o p o h^-1 is 1/a^2
+    if not a0:  # 1/c[3] underflowed to 0, so the conjugate overflows
+        return True
+    for a in (a0, -a0):
+        b = (-1 / a - c[2]) / (3 * c[3])
+        # conjugate p by h(z) = a z + b: a p((z - b)/a) + b, expanded in z
+        q = [a * x for x in _affine_substitute((0, 1, -1, 1), 1 / a, -b / a)]
+        q[0] += b
+        if not all(map(_finite, q)) or _coeffs_close(q, c, COEFF_REL_TOL):
+            return True
     return False
 
 

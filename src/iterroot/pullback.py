@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Multifunction, SingleMap, bits, compose, equals, invert, iterate, iterate_map,
-                   profile)
+from .core import Multifunction, SingleMap, bits, compose, equals, invert, iterate, iterate_map
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
@@ -90,7 +89,7 @@ def decomposition_check(F: Multifunction, G1: Multifunction, G2: Multifunction,
             failed.append("root_identity")
     if failed:
         return DecompositionReport(False, tuple(failed))
-    im_g1_full = len(profile(G1).image) == F.ground.size
+    im_g1_full = _union_and_disjointness(G1.images)[0] == F.ground.full_mask
     _, disjoint = _union_and_disjointness(G2.images)
     root_is_pullback = is_pullback(root).is_pullback if root is not None else None
     return DecompositionReport(True, (), im_g1_full, disjoint, root_is_pullback)

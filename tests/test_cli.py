@@ -186,6 +186,23 @@ def test_fixedpoints_reports_profile_and_exclusions(write, capsys):
     assert "non-isolated-count exclusion: orders n > 2 with no divisor in [2, 4]" in out
 
 
+def test_fixedpoints_builds_one_profile(write, capsys, monkeypatch):
+    from iterroot import fixedpoint
+
+    built = []
+    profile = fixedpoint.fixed_point_profile
+
+    def counted(f):
+        built.append(f)
+        return profile(f)
+
+    monkeypatch.setattr(fixedpoint, "fixed_point_profile", counted)
+    f, _ = fig67()
+    code, out, _ = run(capsys, "fixedpoints", write("f.mfn", f))
+    assert code == 0 and "tail-mass exclusion: all orders n > 8" in out
+    assert len(built) == 1
+
+
 def test_fixedpoints_rejects_multifunctions(write, capsys):
     code, _, err = run(capsys, "fixedpoints", write("f1.mfn", f1(3)))
     assert code == 2
@@ -305,8 +322,8 @@ def test_check_one_rule_builds_one_view(write, capsys, monkeypatch, extra):
         if cert.fires or "--x0" in extra:
             expected.append(_certificate_json(F.ground, cert))
     built = []
-    view = criteria._view
-    monkeypatch.setattr(criteria, "_view",
+    view = criteria._View
+    monkeypatch.setattr(criteria, "_View",
                         lambda *a, **kw: built.append(a) or view(*a, **kw))
     code, out, _ = run(capsys, "check", path, "--rule", rule.value, "--json", *extra)
     assert len(built) == 1

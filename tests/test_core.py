@@ -44,6 +44,13 @@ def test_ground_set_rejects_duplicates_and_empty():
         GroundSet(())
 
 
+def test_ground_set_index_of_unknown_label_is_value_error():
+    ground = GroundSet(("a", "b"))
+    assert ground.index("b") == 1
+    with pytest.raises(ValueError, match="^unknown label 'c'$"):
+        ground.index("c")
+
+
 def test_compose_union_by_definition():
     # G(a)={b,c}, F(b)={d}, F(c)={d,e}
     G = mf(5, {1, 2}, set(), set(), set(), set())

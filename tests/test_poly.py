@@ -7,12 +7,15 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iterroot
 from iterroot.poly import (
+    COEFF_REL_TOL,
     ComplexPolynomial,
+    _affine_substitute,
     _coeffs_close,
-    _expand_shifted_monomial,
+    _finite,
     advise,
     conjugate_to_special_cubic,
     first_solar,
@@ -117,7 +120,7 @@ def test_shifted_monomial_parameters_recovered():
 
 
 def _reference_expand_shifted_monomial(alpha, beta, d):
-    """The numpy expansion that the pure-Python list convolution replaced."""
+    """The numpy expansion of alpha * (z - beta)^d + beta, low degree first."""
     import numpy as np
 
     base = np.array([-beta, 1.0], dtype=complex)
@@ -135,11 +138,94 @@ def test_shifted_monomial_expansion_agrees_with_numpy():
         alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         beta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         d = rng.randint(0, 9)
-        got = _expand_shifted_monomial(alpha, beta, d)
+        got = [alpha * c for c in _affine_substitute((0,) * d + (1,), 1, -beta)]
+        got[0] += beta
         want = _reference_expand_shifted_monomial(alpha, beta, d)
         assert len(got) == len(want) == d + 1
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+def _reference_shifted_monomial_parameters(p):
+    """``shifted_monomial_parameters`` on the numpy expansion."""
+    import numpy as np
+
+    d = p.degree
+    if d < 2:
+        return None
+    alpha = p.coefficients[d]
+    beta = -p.coefficients[d - 1] / (d * alpha)
+    with np.errstate(all="ignore"):
+        candidate = _reference_expand_shifted_monomial(alpha, beta, d)
+    return (alpha, beta) if _coeffs_close(candidate, p.coefficients, COEFF_REL_TOL) else None
+
+
+def _numpy_special_cubic_conjugate(a, b):
+    """h o p o h^-1 for h(z) = a z + b and p(z) = z^3 - z^2 + z, low degree first."""
+    import numpy as np
+
+    w = np.array([-b / a, 1 / a], dtype=complex)  # h^-1(z) = (z - b)/a
+    w2 = np.convolve(w, w)
+    w3 = np.convolve(w2, w)
+    pw = np.zeros(4, dtype=complex)
+    pw[: len(w3)] += w3
+    pw[: len(w2)] -= w2
+    pw[: len(w)] += w
+    qw = a * pw
+    qw[0] += b
+    return [complex(x) for x in qw]
+
+
+def _reference_conjugate_to_special_cubic(p):
+    """The numpy conjugation that ``_affine_substitute`` replaced."""
+    import numpy as np
+
+    if p.degree != 3:
+        return False
+    c = list(p.coefficients)
+    with np.errstate(all="ignore"):
+        a0 = np.sqrt(1 / c[3])
+        for a in (a0, -a0):
+            q = _numpy_special_cubic_conjugate(a, (-1 / a - c[2]) / (3 * c[3]))
+            if not all(map(_finite, q)) or _coeffs_close(q, c, COEFF_REL_TOL):
+                return True
+    return False
+
+
+def _seeded_cubics(rng, count):
+    """Conjugates of z^3 - z^2 + z by h(z) = a z + b and shifted cubic monomials
+    alpha (z - beta)^3 + beta, all four parameters of modulus 1e-6 to 1e6; random
+    cubics of moderate size; and random cubics with coefficients from 1e-300 to
+    1e300."""
+    def rc(scale):
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+
+    for k in range(count):
+        u, v = rc(10.0 ** rng.uniform(-6, 6)), rc(10.0 ** rng.uniform(-6, 6))
+        if k % 4 == 0:
+            q = _numpy_special_cubic_conjugate(u, v)
+        elif k % 4 == 1:
+            q = _reference_expand_shifted_monomial(u, v, 3)
+        elif k % 4 == 2:
+            q = [rc(10.0) for _ in range(4)]
+        else:
+            q = [rc(10.0 ** rng.randint(-300, 300)) for _ in range(4)]
+        yield ComplexPolynomial(tuple(q))
+    yield ComplexPolynomial((0, 1, -1, 1.3e308 + 1.3e308j))
+
+
+def test_conjugation_kernel_verdicts_equal_the_numpy_reference():
+    rng = random.Random(9)
+    conjugate = shifted = 0
+    for p in _seeded_cubics(rng, 6000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (conjugate_to_special_cubic(p), shifted_monomial_parameters(p) is not None)
+        assert got == (_reference_conjugate_to_special_cubic(p),
+                       _reference_shifted_monomial_parameters(p) is not None), p
+        conjugate += got[0]
+        shifted += got[1]
+    assert conjugate >= 1500 and shifted >= 1500  # both verdicts occur often
 
 
 def test_poly_advice_on_pure_powers_does_not_load_numpy():
@@ -315,6 +401,22 @@ def test_roots_out_of_floating_point_range_are_an_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="coefficient ratios overflow"):
             polynomial_roots(poly(0, 1, 2, 1e-320))
+
+
+_EXACT_RULES = {"Quadratic", "Solar", "RiceDegree", "PrimeOrder"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, -1, 2, 0.5, 3j, 1e300, -1e300, 1e-300]), min_size=2,
+                max_size=6).filter(lambda low: any(abs(c) >= 0.5 for c in low)),
+       st.sampled_from([1e-320, -5e-324, 1e-310j]), st.integers(2, 40))
+def test_exact_findings_survive_a_failed_root_finder(low, lead, n):
+    p = poly(*low, lead)
+    with pytest.raises(ValueError, match="coefficient ratios overflow"):
+        polynomial_roots(p)
+    exact = [f for f in _advice_without_warnings((*low, lead), n).findings if f.rule in _EXACT_RULES]
+    finite = [f for f in _advice_without_warnings((*low, 2), n).findings if f.rule in _EXACT_RULES]
+    assert exact == finite
 
 
 def test_root_finder_overflow_silences_only_cubic_special():
