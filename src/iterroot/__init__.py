@@ -1,72 +1,60 @@
 """Iterative roots of multifunctions on finite ground sets: nonexistence
 certificates, pullback theory, fixed-point order exclusions, polynomial
-advice, and exhaustive search oracles."""
+advice, and exhaustive search oracles.
 
-from .core import (
-    GroundSet,
-    Multifunction,
-    SingleMap,
-    StructuralProfile,
-    as_single_map,
-    compose,
-    compose_map,
-    equals,
-    identity_map,
-    identity_multifunction,
-    image,
-    inverse_image,
-    invert,
-    iterate,
-    iterate_map,
-    profile,
-)
-from .criteria import (
-    Certificate,
-    Conclusion,
-    Rule,
-    check_forward_paths,
-    check_forward_points,
-    check_inverse_paths,
-    check_inverse_points,
-    scan,
-)
-from .fixedpoint import (
-    FixedPointProfile,
-    OrderExclusion,
-    fixed_point_profile,
-    non_isolated_exclusion,
-    rice_exclusion,
-)
-from .instances import (
-    InstanceSpec,
-    build,
-    cyclic_power,
-    f1,
-    f2,
-    fig67,
-    random_multifunction,
-    random_permutation,
-    random_single_map,
-)
-from .mfnio import ParseError, parse, serialize
-from .paths import PathCountMatrix, count_paths, count_paths_dfs, path_matrix
-from .poly import ComplexPolynomial, PolyAdvice, advise, first_solar, solar_criterion
-from .pullback import (
-    PullbackWitness,
-    decomposition_check,
-    is_pullback,
-    pullback_of,
-    transfer_root,
-)
-from .search import (
-    RootConstraint,
-    SearchResult,
-    UNCONSTRAINED,
-    find_multi_root,
-    find_single_root,
-    max_in_degree,
-    max_out_degree,
-)
+The package resolves its names on first use (PEP 562): ``import iterroot``
+loads no submodule, and ``iterroot.scan`` or ``iterroot.search`` imports the
+module that defines it, so a process pays only for the modules it touches.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each submodule and the public names it defines
+_EXPORTS = {
+    "core": (
+        "GroundSet", "Multifunction", "SingleMap", "StructuralProfile", "as_single_map",
+        "compose", "compose_map", "equals", "identity_map", "identity_multifunction",
+        "image", "inverse_image", "invert", "iterate", "iterate_map", "profile",
+    ),
+    "criteria": (
+        "Certificate", "Conclusion", "Rule", "check_forward_paths", "check_forward_points",
+        "check_inverse_paths", "check_inverse_points", "scan",
+    ),
+    "fixedpoint": (
+        "FixedPointProfile", "OrderExclusion", "fixed_point_profile",
+        "non_isolated_exclusion", "rice_exclusion",
+    ),
+    "instances": (
+        "InstanceSpec", "build", "cyclic_power", "f1", "f2", "fig67",
+        "random_multifunction", "random_permutation", "random_single_map",
+    ),
+    "mfnio": ("ParseError", "parse", "serialize"),
+    "paths": ("PathCountMatrix", "count_paths", "count_paths_dfs", "path_matrix"),
+    "poly": ("ComplexPolynomial", "PolyAdvice", "advise", "first_solar", "solar_criterion"),
+    "pullback": (
+        "PullbackWitness", "decomposition_check", "is_pullback", "pullback_of",
+        "transfer_root",
+    ),
+    "search": (
+        "RootConstraint", "SearchResult", "UNCONSTRAINED", "find_multi_root",
+        "find_single_root", "max_in_degree", "max_out_degree",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own path, which also binds the submodule here and
+    # is the one that -X importtime reports
+    __import__(f"{__name__}.{module}")
+    if name != module:  # stored, so later lookups do not come here
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,10 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import criteria, fixedpoint, instances, mfnio, poly, pullback, search
+# each command imports the modules it calls, so a process loads only those
+from . import mfnio
 from .core import Multifunction, SingleMap, invert, iterate, iterate_map
-from .paths import count_paths
+
+if TYPE_CHECKING:
+    from .criteria import Certificate
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -43,7 +47,7 @@ def _labels(ground, indices) -> list[str]:
     return [ground.labels[i] for i in sorted(indices)]
 
 
-def _certificate_json(ground, cert: criteria.Certificate) -> dict:
+def _certificate_json(ground, cert: Certificate) -> dict:
     return {
         "rule": cert.rule.value,
         "citation": cert.citation,
@@ -59,7 +63,7 @@ def _certificate_json(ground, cert: criteria.Certificate) -> dict:
     }
 
 
-def _print_certificate(ground, cert: criteria.Certificate) -> None:
+def _print_certificate(ground, cert: Certificate) -> None:
     print(f"rule {cert.rule.value}  x0={ground.labels[cert.x0]}  M={cert.M}  N={cert.N}")
     print(f"  Q={cert.measured_Q}  N_max={cert.measured_N_max}  "
           f"bound M*N^3={cert.M * cert.N ** 3}")
@@ -69,6 +73,7 @@ def _print_certificate(ground, cert: criteria.Certificate) -> None:
 
 
 def cmd_check(args) -> int:
+    from . import criteria
     F = _load_multifunction(args.file)
     ground = F.ground
     if args.rule == "scan":
@@ -92,11 +97,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
     value = _load(args.file)
     if args.max_out is not None and args.max_in is not None:
         raise ValueError("--max-out and --max-in are mutually exclusive")
+    budget = search.DEFAULT_BUDGET if args.budget is None else args.budget
     if isinstance(value, SingleMap) and args.max_out is None and args.max_in is None:
-        result = search.find_single_root(value, args.order, budget=args.budget,
+        result = search.find_single_root(value, args.order, budget=budget,
                                          max_points=value.ground.size)
     else:
         F = value.as_multifunction() if isinstance(value, SingleMap) else value
@@ -106,7 +113,7 @@ def cmd_search(args) -> int:
             constraint = search.max_in_degree(args.max_in, args.total)
         else:
             constraint = search.RootConstraint(require_total_domain=args.total)
-        result = search.find_multi_root(F, args.order, constraint, budget=args.budget,
+        result = search.find_multi_root(F, args.order, constraint, budget=budget,
                                         max_points=F.ground.size)
     payload = {
         "order": result.order,
@@ -140,6 +147,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    from . import pullback
     value = _load(args.file)
     if isinstance(value, SingleMap):
         sys.stdout.write(mfnio.serialize(pullback.pullback_of(value)))
@@ -154,6 +162,7 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from .paths import count_paths
     F = _load_multifunction(args.file)
     sources = [F.ground.index(lab) for lab in getattr(args, "from").split(",") if lab]
     targets = [F.ground.index(lab) for lab in args.to.split(",") if lab]
@@ -162,6 +171,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_fixedpoints(args) -> int:
+    from . import fixedpoint
     value = _load(args.file)
     if not isinstance(value, SingleMap):
         raise ValueError("fixedpoints requires a 'kind single' input")
@@ -189,6 +199,7 @@ def _parse_complex(token: str) -> complex:
 
 
 def cmd_poly(args) -> int:
+    from . import poly
     coeffs = tuple(_parse_complex(tok) for tok in args.coeffs.split(","))
     polynomial = poly.ComplexPolynomial(coeffs)
     advice = poly.advise(polynomial, args.order)
@@ -220,11 +231,13 @@ def cmd_poly(args) -> int:
 
 
 def cmd_solar(args) -> int:
+    from . import poly
     print(" ".join(str(d) for d in poly.first_solar(args.count)))
     return EXIT_OK
 
 
 def cmd_instance(args) -> int:
+    from . import instances
     spec = instances.InstanceSpec(
         name=args.name, depth=args.depth, modulus=args.modulus, exponent=args.exponent,
         variant=args.variant, size=args.size, max_out_degree=args.max_out,
@@ -254,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-out", type=int, default=None)
     p.add_argument("--max-in", type=int, default=None)
     p.add_argument("--total", action="store_true")
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)  # cmd_search applies the default
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

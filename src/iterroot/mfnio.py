@@ -12,7 +12,13 @@ uses LF endings and no trailing spaces.
 """
 from __future__ import annotations
 
+from itertools import compress
+from typing import Iterable
+
 from .core import GroundSet, Multifunction, SingleMap, bits, mask_of
+
+# maps the digits of bin(m) to the 0/1 selectors that compress() reads
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class ParseError(ValueError):
@@ -89,7 +95,23 @@ def serialize(value: Multifunction | SingleMap) -> str:
         lines.append("kind single")
         lines += [f"{labels[x]} -> {labels[y]}" for x, y in enumerate(value.image)]
     else:
-        for x, m in enumerate(value.images):
-            if m:
-                lines.append(f"{labels[x]} -> " + " ".join(labels[y] for y in bits(m)))
+        lines += [f"{labels[x]} -> " + " ".join(_targets(labels, m))
+                  for x, m in enumerate(value.images) if m]
     return "\n".join(lines) + "\n"
+
+
+def _targets(labels: tuple[str, ...], m: int) -> Iterable[str]:
+    """The labels of the set bits of ``m``, in ascending order.
+
+    A sparse row is walked one set bit at a time, each step costing O(size/word).
+    A dense row, one with popcount * 64 >= bit length, is read in C instead, bit y
+    of ``m`` selecting labels[y].  The walk counts the bits as it goes and stops
+    once the row proves dense, so a sparse row pays no separate popcount.
+    """
+    found = []
+    length = m.bit_length()
+    for y in bits(m):
+        found.append(labels[y])
+        if len(found) * 64 >= length:
+            return compress(labels, bin(m)[:1:-1].encode().translate(_FLAGS))
+    return found

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iterroot.core import GroundSet, Multifunction, SingleMap, as_single_map, equals
+from iterroot.core import GroundSet, Multifunction, SingleMap, as_single_map, bits, equals, mask_of
 from iterroot.instances import f1, f2, fig67, random_multifunction, random_single_map
 from iterroot.mfnio import ParseError, parse, serialize
 
@@ -276,3 +276,88 @@ def test_parse_raises_only_parse_error_and_agrees_with_the_reference(text):
     outcome = parse_outcome(parse, text)
     assert outcome == parse_outcome(reference_parse, text)
     assert outcome[0] in ("error", "Multifunction", "SingleMap")
+
+
+
+def reference_serialize(value):
+    """The serializer that walks every row one set bit at a time."""
+    labels = value.ground.labels
+    lines = ["points " + " ".join(labels)]
+    if isinstance(value, SingleMap):
+        lines.append("kind single")
+        lines += [f"{labels[x]} -> {labels[y]}" for x, y in enumerate(value.image)]
+    else:
+        for x, m in enumerate(value.images):
+            if m:
+                lines.append(f"{labels[x]} -> " + " ".join(labels[y] for y in bits(m)))
+    return "\n".join(lines) + "\n"
+
+
+def _labelled(size):
+    return GroundSet(tuple(f"p{i}" for i in range(size)))
+
+
+def _multifunction(images):
+    size = max(len(images), max(m.bit_length() for m in images))
+    return Multifunction(_labelled(size), tuple(images) + (0,) * (size - len(images)))
+
+
+def _agrees_with_reference(value):
+    text = serialize(value)
+    assert text == reference_serialize(value)
+    assert parse(text) == value
+
+
+def _row(rng, length, count):
+    """A row of bit length ``length`` with ``count`` set bits."""
+    low = rng.sample(range(length - 1), count - 1)
+    return sum(1 << y for y in low) | 1 << (length - 1)
+
+
+def test_serialize_equals_the_reference_on_edge_rows():
+    rng = random.Random(5)
+    n = 2_100
+    cases = [
+        [0] * n,  # no edges at all
+        [(1 << n) - 1] * 3,  # full rows
+        [1 << rng.randrange(n) for _ in range(n)],  # one target per row
+        [0, 1 << (n - 1), 1 | 1 << (n - 1), 1 << (n - 2) | 1 << 7],  # far high bits
+        [_row(rng, n, 30) for _ in range(40)],  # sparse rows
+    ]
+    for length in (128, 640, 2_048, 2_049):
+        # popcount * 64 against bit length: one bit below, at and above the threshold
+        k = -(-length // 64)
+        rows = [_row(rng, length, count) for count in (k - 1, k, k + 1)]
+        assert [m.bit_count() * 64 >= m.bit_length() for m in rows] == [False, True, True]
+        cases.append(rows)
+    for images in cases:
+        _agrees_with_reference(_multifunction(images))
+
+
+def test_serialize_equals_the_reference_on_seeded_values():
+    rng = random.Random(17)
+    for case in range(60):
+        size = rng.randint(1, 300)
+        if case % 3 == 0:
+            _agrees_with_reference(random_single_map(size, seed=case))
+        else:
+            _agrees_with_reference(random_multifunction(size, seed=case,
+                                                        density=rng.random() ** 3))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 400).flatmap(
+    lambda size: st.lists(st.one_of(st.integers(0, (1 << size) - 1),
+                                    st.sets(st.integers(0, size - 1), max_size=4).map(mask_of)),
+                          min_size=1, max_size=6).map(lambda rows: (size, rows))))
+def test_serialize_equals_the_reference_on_any_rows(size_rows):
+    size, rows = size_rows  # dense rows of random bits and sparse ones, repeated
+    rows = (rows * size)[:size]
+    _agrees_with_reference(Multifunction(_labelled(size), tuple(rows)))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 200).flatmap(
+    lambda size: st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+def test_serialize_equals_the_reference_on_single_maps(image):
+    _agrees_with_reference(SingleMap(_labelled(len(image)), tuple(image)))
