@@ -9,7 +9,7 @@ from iterroot import (
     fig67,
     find_multi_root,
     find_single_root,
-    iterate_map,
+    iterate,
     max_out_degree,
     non_isolated_exclusion,
     rice_exclusion,
@@ -18,7 +18,7 @@ from iterroot import (
 
 def main():
     f, g = fig67()
-    print(f"20-point map: g^4 == f is {iterate_map(g, 4) == f}")
+    print(f"20-point map: g^4 == f is {iterate(g, 4) == f}")
 
     result = find_single_root(f, 4, max_points=20)
     print(f"search order 4: {result.outcome} after {result.nodes_explored} "

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 # each command imports the modules it calls, so a process loads only those
 from . import mfnio
-from .core import Multifunction, SingleMap, invert, iterate, iterate_map
+from .core import Multifunction, SingleMap, invert, iterate
 
 if TYPE_CHECKING:
     from .criteria import Certificate
@@ -133,11 +133,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    value = _load(args.file)
-    if isinstance(value, SingleMap):
-        sys.stdout.write(mfnio.serialize(iterate_map(value, args.order)))
-    else:
-        sys.stdout.write(mfnio.serialize(iterate(value, args.order)))
+    sys.stdout.write(mfnio.serialize(iterate(_load(args.file), args.order)))
     return EXIT_OK
 
 

@@ -137,40 +137,43 @@ def identity_map(ground: GroundSet) -> SingleMap:
     return SingleMap(ground, tuple(range(ground.size)))
 
 
-def compose(F: Multifunction, G: Multifunction) -> Multifunction:
-    """Return F after G: ``(F o G)(x)`` is the union of F over G(x)."""
+def compose(F: Multifunction | SingleMap,
+            G: Multifunction | SingleMap) -> Multifunction | SingleMap:
+    """Return F after G, of the kind of its operands: ``(F o G)(x)`` is F(G(x))
+    for maps and the union of F over G(x) for multifunctions, so the cost is
+    the edge count of G."""
     if F.ground != G.ground:
         raise ValueError("composition requires a shared ground set")
+    if type(F) is not type(G):
+        raise TypeError("composition requires two maps or two multifunctions")
+    if isinstance(G, SingleMap):
+        return SingleMap(F.ground, tuple(F.image[y] for y in G.image))
     return Multifunction(F.ground, [union_of(F.images, m) for m in G.images])
 
 
-def iterate(F: Multifunction, n: int) -> Multifunction:
-    """The n-th iterate; the 0-th iterate is the identity multifunction.
+def iterate(F: Multifunction | SingleMap, n: int) -> Multifunction | SingleMap:
+    """The n-th iterate, of the kind of F; the 0-th iterate is the identity.
 
-    Each step is ``compose(result, F)``, which unions out-degree many masks
-    per point rather than one per point of the growing image.
+    Right-to-left binary exponentiation in O(log n) compositions.  Each
+    multiply is ``compose(base, result)``, which unions over the lower power
+    accumulated so far rather than over ``base = F^(2^k)``.
     """
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    result = identity_multifunction(F.ground)
-    for _ in range(n):
-        result = compose(result, F)
+    result = (identity_map if isinstance(F, SingleMap) else identity_multifunction)(F.ground)
+    base = F
+    while n:
+        if n & 1:
+            result = compose(base, result)
+        n >>= 1
+        if n:
+            base = compose(base, base)
     return result
 
 
-def compose_map(f: SingleMap, g: SingleMap) -> SingleMap:
-    if f.ground != g.ground:
-        raise ValueError("composition requires a shared ground set")
-    return SingleMap(f.ground, tuple(f.image[y] for y in g.image))
-
-
-def iterate_map(f: SingleMap, n: int) -> SingleMap:
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
-    result = identity_map(f.ground)
-    for _ in range(n):
-        result = compose_map(f, result)
-    return result
+# public names kept for callers of the map forms; both serve maps and multifunctions
+compose_map = compose
+iterate_map = iterate
 
 
 def image(F: Multifunction, A: Iterable[int]) -> frozenset[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multifunction, SingleMap, bits, compose, equals, invert, iterate, iterate_map
+from .core import Multifunction, SingleMap, bits, compose, equals, invert, iterate
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
@@ -113,6 +113,6 @@ def transfer_root(f: SingleMap, g: SingleMap, n: int) -> TransferReport:
         raise ValueError("root order must be at least 2")
     if set(f.image) != set(range(f.ground.size)):
         return TransferReport(False)
-    map_side = iterate_map(g, n) == f
+    map_side = iterate(g, n) == f
     pullback_side = equals(iterate(pullback_of(g), n), pullback_of(f))
     return TransferReport(True, map_side, pullback_side, map_side == pullback_side)

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import Multifunction, SingleMap, bits, equals, invert, iterate, iterate_map, union_of
+from .core import Multifunction, SingleMap, bits, invert, iterate, union_of
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -131,8 +131,7 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
     elapsed = time.perf_counter() - start
     if witness is None:
         return SearchResult(n, constraint, "exhausted", None, nodes, budget, elapsed)
-    if not (iterate_map(witness, n) == target if isinstance(witness, SingleMap)
-            else equals(iterate(witness, n), target)):
+    if iterate(witness, n) != target:
         raise RuntimeError(f"search witness is not an order-{n} root of the target")
     return SearchResult(n, constraint, "witness", witness, nodes, budget, elapsed)
 

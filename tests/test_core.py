@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iterroot
 from iterroot.core import (
     GroundSet,
     Multifunction,
@@ -11,6 +16,7 @@ from iterroot.core import (
     compose,
     compose_map,
     equals,
+    identity_map,
     identity_multifunction,
     image,
     inverse_image,
@@ -22,7 +28,8 @@ from iterroot.core import (
     set_of,
     union_of,
 )
-from iterroot.instances import f1, fig67, random_multifunction
+from iterroot.instances import cyclic_power, f1, fig67, random_multifunction
+from iterroot.mfnio import serialize
 
 
 def mf(size, *image_sets):
@@ -84,22 +91,57 @@ def test_iterate_zero_is_identity():
 
 
 def _reference_iterate(F, n):
-    """``iterate`` before right composition: ``result = compose(F, result)``."""
-    result = identity_multifunction(F.ground)
-    for _ in range(n):
+    """The linear loop ``result = compose(F, result)``, stopped once an iterate
+    repeats: from the first repeat on the iterates run round a cycle, so F^n
+    is read off the cycle and large n cost no more than the cycle."""
+    result = (identity_map if isinstance(F, SingleMap) else identity_multifunction)(F.ground)
+    seen, powers = {}, []
+    while result not in seen:
+        if len(powers) == n:
+            return result
+        seen[result] = len(powers)
+        powers.append(result)
         result = compose(F, result)
-    return result
+    start = seen[result]
+    return powers[start + (n - start) % (len(powers) - start)]
 
 
-def test_right_composed_iterate_equals_the_left_composed_loop():
-    rng = random.Random(8)
-    for case in range(60):
-        size = case % 8 + 1
-        F = Multifunction(GroundSet(tuple(f"p{i}" for i in range(size))),
-                          tuple(rng.randrange(1 << size) if rng.random() < 0.8 else 0
-                                for _ in range(size)))
-        for n in range(10):
+def _seeded_maps_and_multifunctions(seed, count, max_size):
+    rng = random.Random(seed)
+    for case in range(count):
+        size = case % max_size + 1
+        ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+        yield SingleMap(ground, tuple(rng.randrange(size) for _ in range(size)))
+        yield Multifunction(ground, tuple(rng.randrange(1 << size) if rng.random() < 0.8 else 0
+                                          for _ in range(size)))
+
+
+def test_iterate_by_squaring_equals_the_linear_loop():
+    for F in _seeded_maps_and_multifunctions(8, 100, 8):
+        for n in range(41):
             assert iterate(F, n) == _reference_iterate(F, n)
+
+
+def test_iterate_at_order_ten_to_the_eighteen_on_small_grounds():
+    n = 10**18
+    for F in _seeded_maps_and_multifunctions(18, 60, 4):
+        assert iterate(F, n) == _reference_iterate(F, n)
+    rng = random.Random(18)
+    for q in range(1, 40):
+        e = rng.randrange(q)
+        assert iterate(cyclic_power(q, e), n) == cyclic_power(q, n * e % q)
+
+
+def test_cli_iterate_at_order_ten_to_the_eight_is_bounded(tmp_path):
+    # one composition per unit of the order would take tens of minutes here
+    path = tmp_path / "f1_4.mfn"
+    path.write_text(serialize(f1(4)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(iterroot.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "iterroot.cli", "iterate", str(path),
+                           "--order", "100000000"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == serialize(_reference_iterate(f1(4), 100000000))
 
 
 def test_image_masks_must_lie_in_the_ground_set():
@@ -250,6 +292,8 @@ def test_compose_map_matches_multifunction_compose():
     g = SingleMap(ground, (2, 2, 1))
     assert compose_map(f, g).as_multifunction() == compose(
         f.as_multifunction(), g.as_multifunction())
+    with pytest.raises(TypeError):
+        compose(f, g.as_multifunction())
 
 
 def test_equals_distinguishes_edge_removal():

@@ -237,8 +237,7 @@ def test_witness_checks_raise_when_the_root_identity_fails(monkeypatch):
     monkeypatch.setattr(search, "iterate", lambda G, n: Multifunction(G.ground, (0, 0, 0)))
     with pytest.raises(RuntimeError, match="not an order-2 root"):
         find_multi_root(identity_multifunction(ground), 2)
-    monkeypatch.setattr(search, "iterate_map",
-                        lambda g, n: SingleMap(g.ground, (1, 2, 0)))
+    monkeypatch.setattr(search, "iterate", lambda g, n: SingleMap(g.ground, (1, 2, 0)))
     with pytest.raises(RuntimeError, match="not an order-2 root"):
         find_single_root(identity_map(ground), 2)
 
