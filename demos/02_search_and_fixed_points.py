@@ -20,7 +20,7 @@ def main():
     f, g = fig67()
     print(f"20-point map: g^4 == f is {iterate(g, 4) == f}")
 
-    result = find_single_root(f, 4, max_points=20)
+    result = find_single_root(f, 4)
     print(f"search order 4: {result.outcome} after {result.nodes_explored} "
           f"nodes in {result.elapsed:.2f}s")
 
@@ -31,8 +31,7 @@ def main():
         print(f"  order {n} excluded: {exclusion.excludes(n)}")
 
     F = f1(3)
-    result = find_multi_root(F, 2, max_out_degree(2, require_total_domain=True),
-                             max_points=F.ground.size)
+    result = find_multi_root(F, 2, max_out_degree(2, require_total_domain=True))
     print(f"\nf1 square roots with out-degree <= 2: {result.outcome} "
           f"({result.nodes_explored} nodes) -- the certificate was right")
 

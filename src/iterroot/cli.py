@@ -103,8 +103,7 @@ def cmd_search(args) -> int:
         raise ValueError("--max-out and --max-in are mutually exclusive")
     budget = search.DEFAULT_BUDGET if args.budget is None else args.budget
     if isinstance(value, SingleMap) and args.max_out is None and args.max_in is None:
-        result = search.find_single_root(value, args.order, budget=budget,
-                                         max_points=value.ground.size)
+        result = search.find_single_root(value, args.order, budget=budget)
     else:
         F = value.as_multifunction() if isinstance(value, SingleMap) else value
         if args.max_out is not None:
@@ -113,8 +112,7 @@ def cmd_search(args) -> int:
             constraint = search.max_in_degree(args.max_in, args.total)
         else:
             constraint = search.RootConstraint(require_total_domain=args.total)
-        result = search.find_multi_root(F, args.order, constraint, budget=budget,
-                                        max_points=F.ground.size)
+        result = search.find_multi_root(F, args.order, constraint, budget=budget)
     payload = {
         "order": result.order,
         "outcome": result.outcome,

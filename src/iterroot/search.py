@@ -32,16 +32,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import islice
 
 from .core import Multifunction, SingleMap, bits, invert, iterate, union_of
 
 DEFAULT_BUDGET = 5_000_000
-
-# default refusal thresholds per constraint class; pass max_points to override
-_MULTI_CAP_UNCONSTRAINED = 5
-_MULTI_CAP_LOW_OUT = 6
-_SINGLE_CAP = 8
 
 UNCONSTRAINED_VARIANT = "unconstrained"
 MAX_OUT_VARIANT = "max-out"
@@ -95,39 +90,44 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _cap_for(constraint: RootConstraint) -> int:
-    if constraint.variant == MAX_OUT_VARIANT and constraint.bound is not None and constraint.bound <= 2:
-        return _MULTI_CAP_LOW_OUT
-    return _MULTI_CAP_UNCONSTRAINED
-
-
-def _candidates(size: int, constraint: RootConstraint) -> list[int]:
-    """Candidate image masks in size-then-value order, one popcount level at a time."""
-    lowest = 1 if constraint.require_total_domain else 0
+def _candidates(size: int, constraint: RootConstraint):
+    """Generate the candidate image masks in size-then-value order, so a caller
+    builds only as many as it reads.  Each popcount level is walked by Gosper's
+    hack, which steps to the next larger mask with as many set bits."""
+    if not constraint.require_total_domain:
+        yield 0
     highest = min(constraint.bound, size) if constraint.variant == MAX_OUT_VARIANT else size
-    return [m for k in range(lowest, highest + 1)
-            for m in sorted(sum(1 << j for j in c) for c in combinations(range(size), k))]
+    for k in range(1, highest + 1):
+        m = (1 << k) - 1
+        while not m >> size:
+            yield m
+            low = m & -m
+            ripple = m + low
+            m = ripple | ((ripple ^ m) >> 2) // low
 
 
 def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstraint | None,
-            budget: int, cap: int, cap_text: str, engine) -> SearchResult:
+            budget: int, max_points: int | None, engine) -> SearchResult:
     """Check the request, then run ``engine()``, which returns ``(witness or None,
     nodes)`` or raises _BudgetExceeded on node ``budget + 1``; a witness is
-    checked by iterating it, apart from the engine's incremental checks."""
+    checked by iterating it, apart from the engine's incremental checks.  The
+    engines recurse once per point, so a ground deeper than the caller's stack
+    allows is refused when the recursion overflows, not by a fixed size."""
     if n < 2:
         raise ValueError("root order must be at least 2")
     if budget <= 0:
         raise ValueError("budget must be positive")
     size = target.ground.size
-    if size > cap:
-        raise ValueError(
-            f"ground of {size} points exceeds {cap_text}; pass max_points to override")
+    if max_points is not None and size > max_points:
+        raise ValueError(f"ground of {size} points exceeds max_points={max_points}")
     start = time.perf_counter()
     try:
         witness, nodes = engine()
     except _BudgetExceeded:
         return SearchResult(n, constraint, "budget", None, budget + 1, budget,
                             time.perf_counter() - start)
+    except RecursionError:
+        raise ValueError(f"ground of {size} points is deeper than the search can recurse") from None
     elapsed = time.perf_counter() - start
     if witness is None:
         return SearchResult(n, constraint, "exhausted", None, nodes, budget, elapsed)
@@ -138,29 +138,29 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
 
 def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCONSTRAINED,
                     budget: int = DEFAULT_BUDGET, max_points: int | None = None) -> SearchResult:
-    """Search for a multifunction G with G^n = F inside the constraint class."""
-    cap = max_points if max_points is not None else _cap_for(constraint)
-    return _search(F, n, constraint, budget, cap, f"the cap {cap} for this constraint class",
+    """Search for a multifunction G with G^n = F inside the constraint class; the
+    budget bounds memory too, as at most ``budget + 1`` candidate images are built."""
+    return _search(F, n, constraint, budget, max_points,
                    lambda: _multi_engine(F, n, constraint, budget))
 
 
 def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
                      max_points: int | None = None) -> SearchResult:
-    """Search for a total map g with g^n = f, in canonical value order."""
-    cap = max_points if max_points is not None else _SINGLE_CAP
-    return _search(f, n, None, budget, cap, f"the single-map cap {cap}",
-                   lambda: _single_engine(f, n, budget))
+    """Search for a total map g with g^n = f, in canonical value order; either
+    finder refuses a ground by its size only when ``max_points`` is given."""
+    return _search(f, n, None, budget, max_points, lambda: _single_engine(f, n, budget))
 
 
 def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
                   budget: int) -> tuple[Multifunction | None, int]:
     size = F.ground.size
-    candidates = _candidates(size, constraint)
     in_bound = constraint.bound if constraint.variant == MAX_IN_VARIANT else None
     fimgs = F.images
     fpreds = invert(F).images
-    # per candidate m: its points, and F(m) for the commutation check at i
-    table = [(m, tuple(bits(m)), union_of(fimgs, m)) for m in candidates]
+    # per candidate m: its points, and F(m) for the commutation check at i; a depth
+    # that reads entry j has counted j + 1 nodes, so none reads past entry ``budget``
+    table = [(m, tuple(bits(m)), union_of(fimgs, m))
+             for m in islice(_candidates(size, constraint), budget + 1)]
 
     imgs = [0] * size
     preds = [0] * size  # at depth i, preds[y] holds the points x < i with y in imgs[x]

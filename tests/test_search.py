@@ -1,9 +1,17 @@
 import gc
 import itertools
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import iterroot
 from iterroot.core import (
     GroundSet,
     Multifunction,
@@ -24,6 +32,7 @@ from iterroot.instances import (
     random_permutation,
     random_single_map,
 )
+from iterroot.mfnio import serialize
 from iterroot.pullback import pullback_of
 from iterroot.search import (
     DEFAULT_BUDGET,
@@ -182,13 +191,55 @@ def test_a_search_leaves_no_cyclic_garbage(run, outcome):
         gc.enable()
 
 
-def test_caps_refuse_oversized_grounds_without_override():
-    F = random_multifunction(6, seed=0)
-    with pytest.raises(ValueError):
-        find_multi_root(F, 2)
-    f, _ = fig67()
-    with pytest.raises(ValueError):
-        find_single_root(f, 4)
+def _run_cli(*argv):
+    """``python -m iterroot.cli *argv`` under a 512 MiB address-space ceiling, so a
+    request that allocates without bound fails with MemoryError instead of
+    filling the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+    env = dict(os.environ, PYTHONPATH=str(Path(iterroot.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "iterroot.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+
+
+def test_the_budget_bounds_the_candidate_table(tmp_path):
+    # 2**33 candidate images exist, and a search builds only the budget + 1 it can reach
+    F = random_multifunction(33, 3, density=0.2)
+    tracemalloc.start()
+    try:
+        result = find_multi_root(F, 2, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.outcome, result.nodes_explored) == ("budget", 1001)
+    assert peak < 4 * 2**20
+    path = tmp_path / "random33.mfn"
+    path.write_text(serialize(F), encoding="utf-8")
+    proc = _run_cli("search", str(path), "--order", "2", "--budget", "1000", "--json")
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["nodes_explored"] == "1001"
+    # a ground is refused by its size only when the caller asks for it
+    with pytest.raises(ValueError, match="ground of 6 points exceeds max_points=5"):
+        find_multi_root(random_multifunction(6, 0), 2, max_points=5)
+
+
+def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
+    made = _run_cli("instance", "cyclic-power", "--modulus", "1200", "--exponent", "0")
+    assert made.returncode == 0, made.stderr
+    path = tmp_path / "identity1200.mfn"
+    path.write_text(made.stdout, encoding="utf-8")
+    proc = _run_cli("search", str(path), "--order", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: ground of 1200 points is deeper than the search can recurse\n"
+    # the refused search leaves no cycle behind, as a finished one does
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ValueError, match="deeper than the search can recurse"):
+            find_single_root(cyclic_power(1200, 0), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parameter_validation():
@@ -421,13 +472,21 @@ def test_incremental_multi_search_explores_the_reference_nodes():
     rng = random.Random(20261018)
     classes = (UNCONSTRAINED, max_out_degree(2), max_in_degree(2),
                max_out_degree(2, require_total_domain=True))
-    for trial in range(240):
-        size = rng.randint(2, 5)
+    # the last 48 trials give 5-6 points budgets below their 32 or 64 candidates,
+    # of which the engine then builds only budget + 1; their planted roots are
+    # sparse, so that some are found within the budget
+    for trial in range(288):
+        cut = trial >= 240
+        size = rng.randint(5, 6) if cut else rng.randint(2, 5)
         n = rng.randint(2, 3)
-        constraint = classes[trial % len(classes)]
-        root = random_multifunction(size, rng.randrange(2**31), max_out_degree=2, density=0.5)
+        if cut:
+            constraint = (UNCONSTRAINED, max_in_degree(2))[trial // 2 % 2]
+        else:
+            constraint = classes[trial % len(classes)]
+        root = random_multifunction(size, rng.randrange(2**31), max_out_degree=2,
+                                    density=0.2 if cut else 0.5)
         F = iterate(root, n) if trial % 2 else random_multifunction(size, rng.randrange(2**31))
-        budget = 4_000
+        budget = (1, 7, 33, 63)[trial // 4 % 4] if cut else 4_000
         got = _summary(find_multi_root(F, n, constraint, budget=budget), "multi")
         assert got == _reference_multi(F, n, constraint, budget), (F.images, n, constraint)
 
@@ -439,7 +498,8 @@ def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
             for total in (False, True):
                 for constraint in (RootConstraint(require_total_domain=total),
                                    max_out_degree(bound, total), max_in_degree(bound, total)):
-                    assert _candidates(size, constraint) == _reference_candidates(size, constraint)
+                    assert list(_candidates(size, constraint)) == _reference_candidates(
+                        size, constraint)
 
 
 @pytest.mark.parametrize("make, n, constraint, outcome, nodes", [
