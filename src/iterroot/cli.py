@@ -81,7 +81,7 @@ def cmd_check(args) -> int:
             raise ValueError("--x0 and --N need a single --rule; scan picks its own")
         certs = criteria.scan(F, args.M)
     else:
-        points = range(ground.size) if args.x0 is None else [ground.index(args.x0)]
+        points = None if args.x0 is None else [ground.index(args.x0)]
         certs = [cert for cert in criteria.check_rule(F, criteria.Rule(args.rule), args.M,
                                                       points, args.N)
                  if cert.fires or args.x0 is not None]

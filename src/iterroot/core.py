@@ -200,8 +200,11 @@ def invert(F: Multifunction | SingleMap) -> Multifunction:
             inv[y] |= 1 << x
     else:
         for x, m in enumerate(F.images):
-            for y in bits(m):
-                inv[y] |= 1 << x
+            bit = 1 << x
+            while m:  # the set bits inline: a generator per image costs more than the walk
+                low = m & -m
+                inv[low.bit_length() - 1] |= bit
+                m ^= low
     return Multifunction(F.ground, tuple(inv))
 
 

@@ -14,9 +14,15 @@ rules count 2-step preimages, Q = |union of preds[y] over y in preds[x0]|.  The
 side hypotheses read the same masks (indeg(y) is the popcount of preds[y]), so a
 direction's view costs O(size) past the one inversion of F, and all witnesses of
 one rule then cost O(size + edges) mask operations.
+
+Only the unique point of largest in-degree in G can fire, whatever M and N.  If
+x0 is not fixed, no y in preds[x0] is x0, so Q_points <= Q_paths = sum of
+indeg(y) <= indeg(x0)*n_max(x0), where n_max(x0) is the largest in-degree of G
+away from x0, and N_bound_holds needs N >= n_max(x0).  Away from the unique
+argmax indeg(x0) <= n_max(x0), so Q <= N^2 <= M*N^3 (Q = 0 when n_max(x0) = 0).
 Totality of G is a base hypothesis, so ``scan`` costs O(size) when F is neither
 total nor surjective, and otherwise one inversion, one view per live direction
-(G total) and one ``Certificate`` per firing witness.
+(G total), and per rule one Q at ``top_at`` and at most one ``Certificate``.
 Dense matrix powers (``paths.path_matrix``) and ``iterate`` are test oracles only.
 """
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import Multifunction, bits, invert
+from .core import Multifunction, bits, invert, union_of
 
 
 class Rule(str, Enum):
@@ -57,18 +63,20 @@ _PATH_RULES = frozenset({Rule.FORWARD_PATHS, Rule.INVERSE_PATHS})
 
 class _View:
     """One direction G of F, as the rules read it: G is F, or its reversal ``inv``
-    when ``inverse``.  ``n_max_at(x0)`` is the largest in-degree of G away from x0
-    (0 on a one-point ground), taken from the two largest ones."""
+    when ``inverse``.  ``top`` is the largest in-degree of G, first at ``top_at``,
+    and ``second`` the largest one away from ``top_at`` (0 on a one-point ground)."""
 
     def __init__(self, F: Multifunction, inverse: bool, inv: Multifunction) -> None:
         G, self.preds = (inv, F.images) if inverse else (F, inv.images)
         self.in_degrees = indeg = [p.bit_count() for p in self.preds]
-        top = max(indeg)
-        top_at = indeg.index(top)
-        second = max(indeg[:top_at] + indeg[top_at + 1:], default=0)
-        self.n_max_at = lambda x0: second if x0 == top_at else top
+        self.top = max(indeg)
+        self.top_at = indeg.index(self.top)
+        self.second = max(indeg[:self.top_at] + indeg[self.top_at + 1:], default=0)
         self.total, self.onto = all(G.images), all(self.preds)
         self.max_out_degree = max(m.bit_count() for m in G.images)
+
+    def n_max_at(self, x0: int) -> int:
+        return self.second if x0 == self.top_at else self.top
 
 
 @dataclass(frozen=True)
@@ -107,14 +115,10 @@ def _q(view: _View, rule: Rule, x0: int) -> int:
     preds = view.preds
     if rule in _PATH_RULES:
         return sum(view.in_degrees[y] for y in bits(preds[x0]))
-    union = 0
-    for y in bits(preds[x0]):
-        union |= preds[y]
-    return union.bit_count()
+    return union_of(preds, preds[x0]).bit_count()
 
 
-def _check(view: _View, rule: Rule, x0: int, M: int, N: int) -> Certificate:
-    Q = _q(view, rule, x0)
+def _check(view: _View, rule: Rule, x0: int, M: int, N: int, Q: int) -> Certificate:
     n_max = view.n_max_at(x0)
     hyps = {
         "totality": view.total,
@@ -146,18 +150,16 @@ def _validate(F: Multifunction, x0: int, M: int, N: int) -> None:
         raise ValueError("bounds M and N must be positive")
 
 
-def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int],
+def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int] | None = None,
                N: int | None = None) -> list[Certificate]:
-    """Certificates of one rule at each witness point, all from one view of F.
-
-    N defaults to the minimal N of each point.
-    """
+    """Certificates of one rule at each witness point, all from one view of F: by
+    default at the one point that can fire (``top_at``), and at each one's minimal N."""
     view = _View(F, rule in _INVERSE_RULES, invert(F))
     certs = []
-    for x0 in points:
+    for x0 in [view.top_at] if points is None else points:
         bound = N if N is not None else max(1, view.n_max_at(x0))
         _validate(F, x0, M, bound)
-        certs.append(_check(view, rule, x0, M, bound))
+        certs.append(_check(view, rule, x0, M, bound, _q(view, rule, x0)))
     return certs
 
 
@@ -197,7 +199,8 @@ def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
 
 
 def scan(F: Multifunction, M: int) -> list[Certificate]:
-    """All firing certificates for the given class bound M, at the minimal N per witness."""
+    """All firing certificates for the class bound M, in rule order, at each rule's
+    one candidate witness ``top_at`` and its minimal N."""
     if M < 1:
         raise ValueError("class bound M must be positive")
     union = 0
@@ -210,13 +213,13 @@ def scan(F: Multifunction, M: int) -> list[Certificate]:
     views = {inverse: _View(F, inverse, inv) for inverse, total in live.items() if total}
     found = []
     for rule in RULE_ORDER:
-        view = views.get(rule in _INVERSE_RULES)
-        for x0 in range(F.ground.size) if view else ():
-            N = max(1, view.n_max_at(x0))  # the minimal N, at which N_bound_holds
-            if view.preds[x0] >> x0 & 1 or _q(view, rule, x0) <= M * N**3:
-                continue
-            cert = _check(view, rule, x0, M, N)
-            if not cert.fires:
-                raise RuntimeError(f"{rule.value} at {x0} holds every base hypothesis, unfired")
-            found.append(cert)
+        if (view := views.get(rule in _INVERSE_RULES)) is None:
+            continue
+        x0, N = view.top_at, max(1, view.second)  # the candidate, at its minimal N
+        if view.preds[x0] >> x0 & 1 or (Q := _q(view, rule, x0)) <= M * N**3:
+            continue
+        cert = _check(view, rule, x0, M, N, Q)
+        if not cert.fires:
+            raise RuntimeError(f"{rule.value} at {x0} holds every base hypothesis, unfired")
+        found.append(cert)
     return found

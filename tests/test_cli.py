@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from iterroot.cli import main
+from iterroot.core import invert
 from iterroot.instances import f1, f2, fig67
 from iterroot.mfnio import parse, serialize
 
@@ -329,6 +330,20 @@ def test_check_one_rule_builds_one_view(write, capsys, monkeypatch, extra):
     assert len(built) == 1
     assert json.loads(out) == {"certificates": expected}
     assert code == (0 if any(c["conclusion"] != "not-applicable" for c in expected) else 1)
+
+
+@pytest.mark.parametrize("rule", ["forward-paths", "inverse-points"])
+@pytest.mark.parametrize("extra", [(), ("--N", "2")])
+def test_check_one_rule_builds_one_certificate(write, capsys, monkeypatch, rule, extra):
+    # only the unique largest in-degree of G can fire, for every N, so check
+    # without --x0 builds the certificate of that one point
+    from iterroot import criteria
+    F = f1(12) if rule == "forward-paths" else invert(f1(12))
+    witnesses = []
+    check = criteria._check
+    monkeypatch.setattr(criteria, "_check", lambda *a: witnesses.append(a[2]) or check(*a))
+    run(capsys, "check", write("f1.mfn", F), "--rule", rule, *extra)
+    assert witnesses == [F.ground.index("x0")]
 
 
 @pytest.mark.parametrize("coeffs", ["nan,0,1", "0,1,2,1e309", "inf,0,1", "1,-infi,1"])

@@ -382,3 +382,54 @@ def test_scan_fires_in_the_one_live_direction(M):
         live = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS) if total else _INVERSE
         assert [(c.rule, c.x0) for c in certs] == [(rule, x0) for rule in live]
         assert all(c.measured_Q == 4 and c.N == 1 for c in certs)
+
+
+# Only the unique point of largest in-degree in G can fire, whatever M and N
+# (the lemma in the criteria docstring).  check_rule over every point is the
+# oracle, and the default points of check_rule are that one candidate.
+
+def _lemma_instances():
+    for d in range(3, 10):
+        yield from (f1(d), invert(f1(d)), f2(d), invert(f2(d)))
+    rng = random.Random(13)
+    for seed in range(1500):
+        yield random_multifunction(rng.randint(1, 12), seed,
+                                   max_out_degree=rng.choice((None, 1, 2, 3)),
+                                   density=rng.choice((0.1, 0.2, 0.4, 0.7)))
+
+
+def test_only_the_unique_largest_in_degree_fires():
+    fired = 0
+    for F in _lemma_instances():
+        size = F.ground.size
+        for rule in RULE_ORDER:
+            indeg = profile(invert(F) if rule in _INVERSE else F).in_degrees
+            top = max(indeg)
+            top_at = indeg.index(top)
+            for M in (1, 2):
+                for N in range(1, top + 3):
+                    certs = check_rule(F, rule, M, range(size), N)
+                    assert check_rule(F, rule, M, N=N) == [certs[top_at]]
+                    for cert in certs:
+                        if cert.fires:
+                            fired += 1
+                            assert cert.x0 == top_at and indeg.count(top) == 1, (rule, M, N)
+    assert fired > 0
+
+
+def test_scan_computes_one_q_per_rule_at_the_candidate(monkeypatch):
+    qs = _counting(monkeypatch, "_q")
+    computed = 0
+    for F in _scan_instances():
+        size = F.ground.size
+        prof = profile(F)
+        live = {False: len(prof.domain) == size, True: len(prof.image) == size}
+        for M in (1, 2, 3):
+            del qs[:]
+            scan(F, M)
+            rules = [rule for _, rule, _ in qs]
+            assert len(set(rules)) == len(rules)
+            assert all(live[rule in _INVERSE] for rule in rules)
+            assert all(x0 == view.top_at for view, _, x0 in qs)
+            computed += len(qs)
+    assert computed > 0

@@ -10,6 +10,7 @@ from iterroot.core import (
     invert,
     iterate,
 )
+from iterroot.criteria import RULE_ORDER, Rule, check_rule, scan
 from iterroot.mfnio import parse, serialize
 from iterroot.paths import path_matrix
 
@@ -91,3 +92,28 @@ def single_maps(draw, min_size=1, max_size=8):
 def test_single_map_serialization_round_trip(f):
     assert parse(serialize(f)) == f
 
+
+
+@st.composite
+def sparse_multifunctions(draw, max_size=7):
+    # out-degrees of at most 2, so a point can gather enough 2-paths to fire
+    size = draw(st.integers(1, max_size))
+    ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+    images = draw(st.lists(st.frozensets(st.integers(0, size - 1), max_size=2),
+                           min_size=size, max_size=size))
+    return Multifunction.from_sets(ground, images)
+
+
+@settings(max_examples=300)
+@given(st.one_of(multifunctions(max_size=7), sparse_multifunctions()))
+def test_scan_fires_only_at_the_unique_largest_in_degree(F):
+    size = F.ground.size
+    for M in (1, 2, 3):
+        certs = scan(F, M)
+        assert certs == [c for rule in RULE_ORDER
+                         for c in check_rule(F, rule, M, range(size)) if c.fires]
+        for cert in certs:
+            inverse = cert.rule in (Rule.INVERSE_PATHS, Rule.INVERSE_POINTS)
+            G = invert(F) if inverse else F
+            indeg = [m.bit_count() for m in invert(G).images]
+            assert all(indeg[x] < indeg[cert.x0] for x in range(size) if x != cert.x0)
