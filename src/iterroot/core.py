@@ -1,14 +1,21 @@
 """Finite ground sets, multifunctions, single-valued maps, and their algebra.
 
-Points are dense indices ``0..size-1`` with a label table.  Image sets are
-stored as integer bitmasks keyed by index, so membership tests and unions
-are O(1) word operations.  All values are immutable after construction and
-every operation is a pure function of its inputs.
+Points are dense indices ``0..size-1`` with a label table.  A multifunction's
+images are index lists, the sorted ``rows``, so readers that walk edges
+(``invert``, ``profile``, the certificates, path counts, the .mfn format)
+cost O(size + edges).  ``images``, the same sets as integer bitmasks, serve
+``compose``/``iterate`` and the search engines, whose unions and membership
+tests are word operations on small grounds; a mask of a point near index n
+takes about n/8 bytes, so masks of a large sparse ground are O(n^2) memory.
+No operation changes a value after construction (a multifunction only
+fills in its derived form), and every operation is a pure function of its
+inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from typing import Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -38,11 +45,26 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
+_BIT = (1).__lshift__  # y -> 1 << y; the sum over a row's distinct indices is its mask
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte y is 1 where bit y of ``mask`` is set: the selectors ``compress`` reads."""
+    return bin(mask)[:1:-1].encode().translate(_DIGITS)
+
+
+def _row_of(mask: int) -> tuple[int, ...]:
+    return tuple(compress(count(), _flags(mask)))
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """An ordered finite set of distinct point labels."""
 
     labels: tuple[str, ...]
+    # label -> index, built by the first ``index`` call, not by construction
+    _positions: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -60,41 +82,101 @@ class GroundSet:
         return (1 << self.size) - 1
 
     def index(self, label: str) -> int:
+        if self._positions is None:
+            object.__setattr__(self, "_positions",
+                               {lab: x for x, lab in enumerate(self.labels)})
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown label {label!r}") from None
 
 
-@dataclass(frozen=True)
+def _first_out_of_range(entries: tuple, bad) -> None:
+    """Raise the range error at the first point x whose entry ``bad`` flags; the
+    callers look for it only once a C-level min/max has found one."""
+    x = next(x for x, v in enumerate(entries) if bad(v))
+    raise ValueError(f"image of point {x} is out of range")
+
+
 class Multifunction:
     """A function from a ground set into its power set; equivalently a digraph.
 
-    ``images[x]`` is the bitmask of points in the image of point ``x``.
-    Empty images are legal, so a proper subdomain is representable.
+    ``rows[x]`` is the sorted tuple of the indices in the image of point ``x``,
+    and ``images[x]`` the same set as a bitmask.  A value holds the form it was
+    built in (rows by ``from_sets`` and by every producer that collects index
+    lists; masks by the constructor, and so by ``compose`` and ``iterate``) and
+    derives the other on first use, keeping it; equal values compare and hash
+    alike whichever form they hold.  Empty images are legal, so a proper
+    subdomain is representable.
     """
 
-    ground: GroundSet
-    images: tuple[int, ...]
+    __slots__ = ("ground", "_rows", "_images")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.ground.size:
+    def __init__(self, ground: GroundSet, images: Iterable[int]) -> None:
+        images = tuple(images)
+        size = ground.size
+        if len(images) != size:
             raise ValueError("one image mask per point required")
-        size = self.ground.size
-        for x, m in enumerate(self.images):
-            if m < 0 or m.bit_length() > size:
-                raise ValueError(f"image of point {x} is out of range")
+        if min(images) < 0 or max(map(int.bit_length, images)) > size:
+            _first_out_of_range(images, lambda m: m < 0 or m.bit_length() > size)
+        self.ground, self._rows, self._images = ground, None, images
 
     @classmethod
     def from_sets(cls, ground: GroundSet, images: Iterable[Iterable[int]]) -> "Multifunction":
-        return cls(ground, tuple(mask_of(s) for s in images))
+        """The multifunction with image ``images[x]`` at x, given as any iterables of indices."""
+        rows = tuple(tuple(sorted(set(s))) for s in images)
+        size = ground.size
+        if len(rows) != size:
+            raise ValueError("one image mask per point required")
+        if (min(chain.from_iterable(rows), default=0) < 0
+                or max(chain.from_iterable(rows), default=0) >= size):
+            _first_out_of_range(rows, lambda r: r and (r[0] < 0 or r[-1] >= size))
+        return cls._of_rows(ground, rows)
+
+    @classmethod
+    def _of_rows(cls, ground: GroundSet, rows: tuple[tuple[int, ...], ...]) -> "Multifunction":
+        """Wrap rows already known to be one sorted in-range tuple per point."""
+        F = cls.__new__(cls)
+        F.ground, F._rows, F._images = ground, rows, None
+        return F
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(map(_row_of, self._images))
+        return self._rows
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        if self._images is None:
+            self._images = tuple(sum(map(_BIT, row)) for row in self._rows)
+        return self._images
+
+    def select(self, items: Sequence) -> Iterator[Iterable]:
+        """Per point x, the ``items[y]`` for y in its image, ascending in y, read in C
+        from the form held; a mask-held value keeps no rows for it, so a dense
+        ``iterate`` result costs no int object per edge."""
+        if self._rows is not None:
+            pick = items.__getitem__
+            return (map(pick, row) for row in self._rows)
+        return (compress(items, _flags(m)) for m in self._images)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Multifunction):
+            return NotImplemented
+        return self.ground == other.ground and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Multifunction.from_sets({self.ground!r}, {self.rows!r})"
 
     def image_set(self, x: int) -> frozenset[int]:
-        return set_of(self.images[x])
+        return frozenset(self.rows[x])
 
     def out_degree(self, x: int) -> int:
-        return self.images[x].bit_count()
+        return len(self.rows[x])
 
 
 @dataclass(frozen=True)
@@ -105,32 +187,33 @@ class SingleMap:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(self.image))
-        if len(self.image) != self.ground.size:
+        image = tuple(self.image)
+        object.__setattr__(self, "image", image)
+        size = self.ground.size
+        if len(image) != size:
             raise ValueError("single map must be total")
-        for x, y in enumerate(self.image):
-            if not 0 <= y < self.ground.size:
-                raise ValueError(f"image of point {x} is out of range")
+        if min(image) < 0 or max(image) >= size:
+            _first_out_of_range(image, lambda y: not 0 <= y < size)
 
     def __call__(self, x: int) -> int:
         return self.image[x]
 
     def as_multifunction(self) -> Multifunction:
-        return Multifunction(self.ground, tuple(1 << y for y in self.image))
+        return Multifunction._of_rows(self.ground, tuple((y,) for y in self.image))
 
 
 def as_single_map(F: Multifunction) -> SingleMap:
     """Convert a multifunction whose images are all singletons."""
     image = []
-    for x, m in enumerate(F.images):
-        if m.bit_count() != 1:
+    for x, row in enumerate(F.rows):
+        if len(row) != 1:
             raise ValueError(f"image of point {x} is not a singleton")
-        image.append(m.bit_length() - 1)
+        image.append(row[0])
     return SingleMap(F.ground, tuple(image))
 
 
 def identity_multifunction(ground: GroundSet) -> Multifunction:
-    return Multifunction(ground, tuple(1 << x for x in range(ground.size)))
+    return Multifunction._of_rows(ground, tuple((x,) for x in range(ground.size)))
 
 
 def identity_map(ground: GroundSet) -> SingleMap:
@@ -192,24 +275,27 @@ def inverse_image(F: Multifunction, A: Iterable[int], k: int) -> frozenset[int]:
     return frozenset(x for x in range(F.ground.size) if Fk.images[x] & amask)
 
 
-def invert(F: Multifunction | SingleMap) -> Multifunction:
-    """Reverse every edge of the graph of F; for a map f, its pullback x -> f^-1(x)."""
-    inv = [0] * F.ground.size
+def predecessors(F: Multifunction | SingleMap) -> list[list[int]]:
+    """``preds[y]``, the points x with y in F(x) (with f(x) = y for a map), ascending:
+    sources are visited in order, so each list comes out sorted."""
+    preds = [[] for _ in range(F.ground.size)]
     if isinstance(F, SingleMap):
         for x, y in enumerate(F.image):
-            inv[y] |= 1 << x
+            preds[y].append(x)
     else:
-        for x, m in enumerate(F.images):
-            bit = 1 << x
-            while m:  # the set bits inline: a generator per image costs more than the walk
-                low = m & -m
-                inv[low.bit_length() - 1] |= bit
-                m ^= low
-    return Multifunction(F.ground, tuple(inv))
+        for x, row in enumerate(F.rows):
+            for y in row:
+                preds[y].append(x)
+    return preds
+
+
+def invert(F: Multifunction | SingleMap) -> Multifunction:
+    """Reverse every edge of the graph of F; for a map f, its pullback x -> f^-1(x)."""
+    return Multifunction._of_rows(F.ground, tuple(map(tuple, predecessors(F))))
 
 
 def equals(F: Multifunction, G: Multifunction) -> bool:
-    return F.ground == G.ground and F.images == G.images
+    return F == G
 
 
 @dataclass(frozen=True)
@@ -227,21 +313,17 @@ class StructuralProfile:
 
 
 def profile(F: Multifunction) -> StructuralProfile:
+    rows = F.rows
     size = F.ground.size
-    out_degrees = tuple(m.bit_count() for m in F.images)
-    indeg = [0] * size
-    im = 0
-    for m in F.images:
-        im |= m
-        for y in bits(m):
-            indeg[y] += 1
+    out_degrees = tuple(map(len, rows))
+    in_degrees = tuple(map(len, predecessors(F)))
     return StructuralProfile(
-        domain=frozenset(x for x in range(size) if F.images[x]),
-        image=set_of(im),
+        domain=frozenset(x for x in range(size) if rows[x]),
+        image=frozenset(y for y in range(size) if in_degrees[y]),
         set_value_points=frozenset(x for x in range(size) if out_degrees[x] >= 2),
         max_out_degree=max(out_degrees),
-        max_in_degree=max(indeg),
-        fixed_membership=frozenset(x for x in range(size) if F.images[x] >> x & 1),
+        max_in_degree=max(in_degrees),
+        fixed_membership=frozenset(x for x in range(size) if x in rows[x]),
         out_degrees=out_degrees,
-        in_degrees=tuple(indeg),
+        in_degrees=in_degrees,
     )

@@ -7,22 +7,25 @@ of any order n >= 2 inside a degree-bounded class, and with two extra
 hypotheses no roots at all.  The inverse rules are, by construction,
 the forward rules applied to the edge-reversed graph.
 
-Q is read in closed form off the inverse-image bitmasks ``preds`` of G, where
-G is F for the forward rules and ``invert(F)`` for the inverse ones.  The path
-rules count 2-paths into x0, Q = sum of indeg(y) over y in preds[x0]; the point
-rules count 2-step preimages, Q = |union of preds[y] over y in preds[x0]|.  The
-side hypotheses read the same masks (indeg(y) is the popcount of preds[y]), so a
-direction's view costs O(size) past the one inversion of F, and all witnesses of
-one rule then cost O(size + edges) mask operations.
+Q is read in closed form off the predecessor rows ``preds`` of G, where G is F
+for the forward rules and its reversal for the inverse ones: ``preds[x]`` lists,
+ascending, the points with an edge into x, so it is ``core.predecessors(F)`` for
+G = F and F's own ``rows`` for the reversal.  The path rules count 2-paths into
+x0, Q = sum of indeg(y) over y in preds[x0]; the point rules count 2-step
+preimages, Q = |union of preds[y] over y in preds[x0]|.  The side hypotheses read
+the same rows (indeg(y) is the length of preds[y]), so a direction's view costs
+O(size) past the one inversion of F, which costs O(size + edges).
 
 Only the unique point of largest in-degree in G can fire, whatever M and N.  If
 x0 is not fixed, no y in preds[x0] is x0, so Q_points <= Q_paths = sum of
 indeg(y) <= indeg(x0)*n_max(x0), where n_max(x0) is the largest in-degree of G
 away from x0, and N_bound_holds needs N >= n_max(x0).  Away from the unique
 argmax indeg(x0) <= n_max(x0), so Q <= N^2 <= M*N^3 (Q = 0 when n_max(x0) = 0).
-Totality of G is a base hypothesis, so ``scan`` costs O(size) when F is neither
-total nor surjective, and otherwise one inversion, one view per live direction
-(G total), and per rule one Q at ``top_at`` and at most one ``Certificate``.
+At the argmax itself Q <= top*second, so ``scan`` computes no Q in a view where
+that product is at most M*N^3.  Totality of G is a base hypothesis, so ``scan``
+costs O(size + edges) when F is neither total nor surjective, and otherwise one
+inversion, one view per live direction (G total), and per rule at most one Q at
+``top_at`` and at most one ``Certificate``.
 Dense matrix powers (``paths.path_matrix``) and ``iterate`` are test oracles only.
 """
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import Multifunction, bits, invert, union_of
+from .core import Multifunction, predecessors
 
 
 class Rule(str, Enum):
@@ -62,18 +65,18 @@ _PATH_RULES = frozenset({Rule.FORWARD_PATHS, Rule.INVERSE_PATHS})
 
 
 class _View:
-    """One direction G of F, as the rules read it: G is F, or its reversal ``inv``
-    when ``inverse``.  ``top`` is the largest in-degree of G, first at ``top_at``,
-    and ``second`` the largest one away from ``top_at`` (0 on a one-point ground)."""
+    """One direction G of F, as the rules read it: G is F, or its reversal when
+    ``inverse``, through its predecessor rows ``preds`` and successor rows ``succs``;
+    ``inv`` is ``predecessors(F)``.  ``top`` is the largest in-degree of G, first at
+    ``top_at``, and ``second`` the largest one away from ``top_at`` (0 on a one-point
+    ground)."""
 
-    def __init__(self, F: Multifunction, inverse: bool, inv: Multifunction) -> None:
-        G, self.preds = (inv, F.images) if inverse else (F, inv.images)
-        self.in_degrees = indeg = [p.bit_count() for p in self.preds]
+    def __init__(self, F: Multifunction, inverse: bool, inv: list[list[int]]) -> None:
+        self.preds, self.succs = (F.rows, inv) if inverse else (inv, F.rows)
+        self.in_degrees = indeg = list(map(len, self.preds))
         self.top = max(indeg)
         self.top_at = indeg.index(self.top)
         self.second = max(indeg[:self.top_at] + indeg[self.top_at + 1:], default=0)
-        self.total, self.onto = all(G.images), all(self.preds)
-        self.max_out_degree = max(m.bit_count() for m in G.images)
 
     def n_max_at(self, x0: int) -> int:
         return self.second if x0 == self.top_at else self.top
@@ -114,19 +117,19 @@ def _q(view: _View, rule: Rule, x0: int) -> int:
     """Q at x0 in closed form: 2-paths into x0, or 2-step preimages of x0."""
     preds = view.preds
     if rule in _PATH_RULES:
-        return sum(view.in_degrees[y] for y in bits(preds[x0]))
-    return union_of(preds, preds[x0]).bit_count()
+        return sum(map(view.in_degrees.__getitem__, preds[x0]))
+    return len(set().union(*map(preds.__getitem__, preds[x0])))
 
 
 def _check(view: _View, rule: Rule, x0: int, M: int, N: int, Q: int) -> Certificate:
     n_max = view.n_max_at(x0)
     hyps = {
-        "totality": view.total,
-        "x0_not_fixed": not view.preds[x0] >> x0 & 1,
+        "totality": all(view.succs),
+        "x0_not_fixed": x0 not in view.preds[x0],
         "Q_exceeds_MN3": Q > M * N**3,
         "N_bound_holds": n_max <= N,
-        "class_membership": view.max_out_degree <= M,
-        "surjectivity_or_totality_extra": view.onto,
+        "class_membership": max(map(len, view.succs)) <= M,
+        "surjectivity_or_totality_extra": all(view.preds),
     }
     failed = tuple(name for name, held in hyps.items() if not held)
     if any(name in BASE_HYPOTHESES for name in failed):
@@ -154,7 +157,7 @@ def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int] | Non
                N: int | None = None) -> list[Certificate]:
     """Certificates of one rule at each witness point, all from one view of F: by
     default at the one point that can fire (``top_at``), and at each one's minimal N."""
-    view = _View(F, rule in _INVERSE_RULES, invert(F))
+    view = _View(F, rule in _INVERSE_RULES, predecessors(F))
     certs = []
     for x0 in [view.top_at] if points is None else points:
         bound = N if N is not None else max(1, view.n_max_at(x0))
@@ -195,7 +198,7 @@ RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.
 
 def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
     """Smallest admissible N: the largest relevant per-point 1-count away from x0."""
-    return max(1, _View(F, rule in _INVERSE_RULES, invert(F)).n_max_at(x0))
+    return max(1, _View(F, rule in _INVERSE_RULES, predecessors(F)).n_max_at(x0))
 
 
 def scan(F: Multifunction, M: int) -> list[Certificate]:
@@ -203,20 +206,21 @@ def scan(F: Multifunction, M: int) -> list[Certificate]:
     one candidate witness ``top_at`` and its minimal N."""
     if M < 1:
         raise ValueError("class bound M must be positive")
-    union = 0
-    for m in F.images:
-        union |= m
-    live = {False: all(F.images), True: union == F.ground.full_mask}
-    if not any(live.values()):
-        return []
-    inv = invert(F)
-    views = {inverse: _View(F, inverse, inv) for inverse, total in live.items() if total}
+    rows = F.rows
+    total = all(rows)
+    if not total and len(set().union(*rows)) < F.ground.size:
+        return []  # neither F nor its reversal is total
+    inv = predecessors(F)
+    views = {inverse: _View(F, inverse, inv)
+             for inverse, live in ((False, total), (True, all(inv))) if live}
     found = []
     for rule in RULE_ORDER:
         if (view := views.get(rule in _INVERSE_RULES)) is None:
             continue
         x0, N = view.top_at, max(1, view.second)  # the candidate, at its minimal N
-        if view.preds[x0] >> x0 & 1 or (Q := _q(view, rule, x0)) <= M * N**3:
+        # unfixed x0 has Q <= top * second (the lemma), which settles most views without Q
+        if (view.top * view.second <= M * N**3 or x0 in view.preds[x0]
+                or (Q := _q(view, rule, x0)) <= M * N**3):
             continue
         cert = _check(view, rule, x0, M, N, Q)
         if not cert.fires:

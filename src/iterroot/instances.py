@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 
-from .core import GroundSet, Multifunction, SingleMap, mask_of
+from .core import GroundSet, Multifunction, SingleMap
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,19 @@ def f1(depth: int = 3) -> Multifunction:
         labels += [f"x-{i}.1", f"x-{i}.2"]
     ground = GroundSet(tuple(labels))
     idx = {lab: k for k, lab in enumerate(ground.labels)}
-    images = [0] * ground.size
+    images = [()] * ground.size
     for i in range(depth):
-        images[idx[f"x{i}"]] = 1 << idx[f"x{i + 1}"]
+        images[idx[f"x{i}"]] = (idx[f"x{i + 1}"],)
     # close the forward chain into the preimage-free tail of backward chain 1
-    images[idx[f"x{depth}"]] = 1 << idx[f"x-{depth}.1"]
+    images[idx[f"x{depth}"]] = (idx[f"x-{depth}.1"],)
     for j in range(1, 5):
-        images[idx[f"x-1.{j}"]] = 1 << idx["x0"]
-    images[idx["x-2.1"]] = mask_of((idx["x-1.1"], idx["x-1.2"]))
-    images[idx["x-2.2"]] = mask_of((idx["x-1.3"], idx["x-1.4"]))
+        images[idx[f"x-1.{j}"]] = (idx["x0"],)
+    images[idx["x-2.1"]] = (idx["x-1.1"], idx["x-1.2"])
+    images[idx["x-2.2"]] = (idx["x-1.3"], idx["x-1.4"])
     for i in range(3, depth + 1):
         for j in (1, 2):
-            images[idx[f"x-{i}.{j}"]] = 1 << idx[f"x-{i - 1}.{j}"]
-    return Multifunction(ground, tuple(images))
+            images[idx[f"x-{i}.{j}"]] = (idx[f"x-{i - 1}.{j}"],)
+    return Multifunction.from_sets(ground, images)
 
 
 def f2(depth: int = 3) -> Multifunction:
@@ -70,20 +70,20 @@ def f2(depth: int = 3) -> Multifunction:
         labels += [f"x-{i}.1", f"x-{i}.2", f"x-{i}.3"]
     ground = GroundSet(tuple(labels))
     idx = {lab: k for k, lab in enumerate(ground.labels)}
-    images = [0] * ground.size
-    images[idx["x0"]] = mask_of((idx["x1.1"], idx["x1.2"]))
+    images = [()] * ground.size
+    images[idx["x0"]] = (idx["x1.1"], idx["x1.2"])
     for i in range(1, depth):
         for j in (1, 2):
-            images[idx[f"x{i}.{j}"]] = 1 << idx[f"x{i + 1}.{j}"]
+            images[idx[f"x{i}.{j}"]] = (idx[f"x{i + 1}.{j}"],)
     # close both forward chains so that all three backward tails get preimages
-    images[idx[f"x{depth}.1"]] = mask_of((idx[f"x-{depth}.1"], idx[f"x-{depth}.3"]))
-    images[idx[f"x{depth}.2"]] = 1 << idx[f"x-{depth}.2"]
+    images[idx[f"x{depth}.1"]] = (idx[f"x-{depth}.1"], idx[f"x-{depth}.3"])
+    images[idx[f"x{depth}.2"]] = (idx[f"x-{depth}.2"],)
     for j in (1, 2, 3):
-        images[idx[f"x-1.{j}"]] = 1 << idx["x0"]
+        images[idx[f"x-1.{j}"]] = (idx["x0"],)
     for i in range(2, depth + 1):
         for j in (1, 2, 3):
-            images[idx[f"x-{i}.{j}"]] = 1 << idx[f"x-{i - 1}.{j}"]
-    return Multifunction(ground, tuple(images))
+            images[idx[f"x-{i}.{j}"]] = (idx[f"x-{i - 1}.{j}"],)
+    return Multifunction.from_sets(ground, images)
 
 
 def fig67() -> tuple[SingleMap, SingleMap]:
@@ -142,8 +142,9 @@ def random_multifunction(size: int, seed: int, max_out_degree: int | None = None
         targets = [y for y in range(size) if rng.random() < density]
         if max_out_degree is not None and len(targets) > max_out_degree:
             targets = sorted(rng.sample(targets, max_out_degree))
-        images.append(mask_of(targets))
-    return Multifunction(_ground(size), tuple(images))
+        images.append(tuple(targets))
+    # each row is ascending, distinct and in range, so it needs no normalising
+    return Multifunction._of_rows(_ground(size), tuple(images))
 
 
 def random_single_map(size: int, seed: int) -> SingleMap:

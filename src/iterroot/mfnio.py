@@ -9,16 +9,15 @@ Grammar, one item per line, ``#`` starting a comment:
 Sources without a line have empty images.  The canonical form preserves
 declaration order, orders targets by declaration, omits empty-image lines,
 uses LF endings and no trailing spaces.
+
+``parse`` collects each source's targets as indices and builds the value from
+these index lists (the rows of a multifunction, one index per point of a map),
+never from size-bit masks.  ``serialize`` reads a multifunction in the form it
+holds (``Multifunction.select``), so both cost O(size + edges).
 """
 from __future__ import annotations
 
-from itertools import compress
-from typing import Iterable
-
-from .core import GroundSet, Multifunction, SingleMap, bits, mask_of
-
-# maps the digits of bin(m) to the 0/1 selectors that compress() reads
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+from .core import GroundSet, Multifunction, SingleMap
 
 
 class ParseError(ValueError):
@@ -78,7 +77,7 @@ def parse(text: str) -> Multifunction | SingleMap:
     if ground is None:
         raise ParseError("expected a 'points' declaration", 1)
     if not kind_single:
-        return Multifunction(ground, tuple(mask_of(t) for t in targets))
+        return Multifunction.from_sets(ground, targets)
     for x, t in enumerate(targets):
         if not t:
             raise ParseError(f"single map missing image for {ground.labels[x]}", kind_line)
@@ -95,23 +94,6 @@ def serialize(value: Multifunction | SingleMap) -> str:
         lines.append("kind single")
         lines += [f"{labels[x]} -> {labels[y]}" for x, y in enumerate(value.image)]
     else:
-        lines += [f"{labels[x]} -> " + " ".join(_targets(labels, m))
-                  for x, m in enumerate(value.images) if m]
+        lines += [f"{labels[x]} -> " + " ".join(targets)
+                  for x, targets in enumerate(map(list, value.select(labels))) if targets]
     return "\n".join(lines) + "\n"
-
-
-def _targets(labels: tuple[str, ...], m: int) -> Iterable[str]:
-    """The labels of the set bits of ``m``, in ascending order.
-
-    A sparse row is walked one set bit at a time, each step costing O(size/word).
-    A dense row, one with popcount * 64 >= bit length, is read in C instead, bit y
-    of ``m`` selecting labels[y].  The walk counts the bits as it goes and stops
-    once the row proves dense, so a sparse row pays no separate popcount.
-    """
-    found = []
-    length = m.bit_length()
-    for y in bits(m):
-        found.append(labels[y])
-        if len(found) * 64 >= length:
-            return compress(labels, bin(m)[:1:-1].encode().translate(_FLAGS))
-    return found

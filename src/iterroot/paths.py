@@ -2,8 +2,8 @@
 
 Counts are Python integers, hence arbitrary precision: path counts exceed
 64 bits quickly and must stay exact.  ``count_paths``, which backs the
-``paths`` command, propagates one count row over the sparse images, so it
-costs O(k * edges) additions.  ``path_matrix``, the k-th power of the dense
+``paths`` command, propagates one count row over the rows of F, so it costs
+O(k * (size + edges)) additions.  ``path_matrix``, the k-th power of the dense
 adjacency matrix, is the test oracle for ``count_paths`` and for the
 closed-form certificate counts in ``criteria``.  A recursive enumeration
 counter is provided as an independent cross-check for small path lengths.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import GroundSet, Multifunction, bits
+from .core import GroundSet, Multifunction
 
 Matrix = list[list[int]]
 
@@ -72,7 +72,7 @@ def count_paths(F: Multifunction, from_points: Iterable[int], to_points: Iterabl
     """
     if k < 1:
         raise ValueError("set-to-set path counting requires length at least 1")
-    successors = [tuple(bits(m)) for m in F.images]
+    successors = F.rows
     row = [0] * F.ground.size
     for x in from_points:
         row[x] += 1
@@ -92,4 +92,4 @@ def count_paths_dfs(F: Multifunction, x: int, y: int, k: int) -> int:
         raise ValueError("path length must be nonnegative")
     if k == 0:
         return int(x == y)
-    return sum(count_paths_dfs(F, z, y, k - 1) for z in bits(F.images[x]))
+    return sum(count_paths_dfs(F, z, y, k - 1) for z in F.rows[x])

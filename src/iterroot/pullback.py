@@ -8,8 +8,9 @@ the witness map reads membership backwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import Multifunction, SingleMap, bits, compose, equals, invert, iterate
+from .core import Multifunction, SingleMap, compose, equals, invert, iterate
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
@@ -24,33 +25,28 @@ class PullbackWitness:
     failed_conditions: frozenset[str]
 
 
-def _union_and_disjointness(masks: tuple[int, ...]) -> tuple[int, bool]:
-    """The union of the masks, and whether they are pairwise disjoint."""
-    seen = 0
-    disjoint = True
-    for m in masks:
-        if seen & m:
-            disjoint = False
-        seen |= m
-    return seen, disjoint
+def _union_and_disjointness(rows: tuple[tuple[int, ...], ...]) -> tuple[set[int], bool]:
+    """The union of the rows, and whether they are pairwise disjoint."""
+    seen = set(chain.from_iterable(rows))
+    return seen, len(seen) == sum(map(len, rows))
 
 
 def is_pullback(F: Multifunction) -> PullbackWitness:
-    """Decide pullback membership; failures are reported, never raised."""
-    size = F.ground.size
+    """Decide pullback membership in O(size + edges); failures are reported, never raised."""
+    rows = F.rows
     failed = set()
-    seen, disjoint = _union_and_disjointness(F.images)
+    seen, disjoint = _union_and_disjointness(rows)
     if not disjoint:
         failed.add("disjointness")
-    if seen != F.ground.full_mask:
+    if len(seen) != F.ground.size:
         failed.add("surjectivity")
-    if any(not m for m in F.images):
+    if not all(rows):
         failed.add("totality")
     if failed:
         return PullbackWitness(False, None, frozenset(failed))
-    image = [0] * size
-    for y, m in enumerate(F.images):
-        for x in bits(m):
+    image = [0] * len(rows)
+    for y, row in enumerate(rows):
+        for x in row:
             image[x] = y
     return PullbackWitness(True, SingleMap(F.ground, tuple(image)), frozenset())
 
@@ -78,19 +74,19 @@ def decomposition_check(F: Multifunction, G1: Multifunction, G2: Multifunction,
     if not equals(compose(G1, G2), F):
         failed.append("factorization")
     for name, H in (("totality", F), ("totality_g1", G1), ("totality_g2", G2)):
-        if any(not m for m in H.images):
+        if not all(H.rows):
             failed.append(name)
     if not is_pullback(F).is_pullback:
         failed.append("pullback")
     if root is not None:
         if order is None or order < 2:
             failed.append("root_order")
-        elif not equals(iterate(root, order), F) or any(not m for m in root.images):
+        elif not equals(iterate(root, order), F) or not all(root.rows):
             failed.append("root_identity")
     if failed:
         return DecompositionReport(False, tuple(failed))
-    im_g1_full = _union_and_disjointness(G1.images)[0] == F.ground.full_mask
-    _, disjoint = _union_and_disjointness(G2.images)
+    im_g1_full = len(_union_and_disjointness(G1.rows)[0]) == F.ground.size
+    _, disjoint = _union_and_disjointness(G2.rows)
     root_is_pullback = is_pullback(root).is_pullback if root is not None else None
     return DecompositionReport(True, (), im_g1_full, disjoint, root_is_pullback)
 

@@ -58,6 +58,22 @@ def test_ground_set_index_of_unknown_label_is_value_error():
         ground.index("c")
 
 
+def test_ground_set_index_table_is_built_by_the_first_lookup():
+    labels = tuple(f"p{i}" for i in range(5_000))
+    ground = GroundSet(labels)
+    assert ground._positions is None  # construction builds no table
+    assert [ground.index(lab) for lab in labels] == list(range(len(labels)))
+    table = ground._positions
+    assert ground.index("p4999") == 4_999 and ground._positions is table  # built once
+    with pytest.raises(ValueError, match="^unknown label 'p5000'$"):
+        ground.index("p5000")
+    with pytest.raises(ValueError, match=r"^unknown label \['p0'\]$"):
+        ground.index(["p0"])
+    # the table is no part of the value
+    assert ground == GroundSet(labels) and hash(ground) == hash(GroundSet(labels))
+    assert repr(GroundSet(("a",))) == "GroundSet(labels=('a',))"
+
+
 def test_compose_union_by_definition():
     # G(a)={b,c}, F(b)={d}, F(c)={d,e}
     G = mf(5, {1, 2}, set(), set(), set(), set())
@@ -150,6 +166,22 @@ def test_image_masks_must_lie_in_the_ground_set():
     for bad in (0b1000, 0b1111, -1):
         with pytest.raises(ValueError, match="image of point 1 is out of range"):
             Multifunction(ground, (0, bad, 0))
+
+
+@pytest.mark.parametrize("bad", [3, 7, -1])
+def test_rows_and_map_values_must_lie_in_the_ground_set(bad):
+    ground = GroundSet(("a", "b", "c"))
+    assert Multifunction.from_sets(ground, [{2, 0}, (), [1, 1]]).rows == ((0, 2), (), (1,))
+    assert SingleMap(ground, (2, 0, 1)).image == (2, 0, 1)
+    # the first bad point is named, whatever comes after it
+    with pytest.raises(ValueError, match="^image of point 1 is out of range$"):
+        Multifunction.from_sets(ground, [(0,), (1, bad), (bad,)])
+    with pytest.raises(ValueError, match="^image of point 1 is out of range$"):
+        SingleMap(ground, (0, bad, bad))
+    with pytest.raises(ValueError, match="^one image mask per point required$"):
+        Multifunction.from_sets(ground, [(0,), (1,)])
+    with pytest.raises(ValueError, match="^single map must be total$"):
+        SingleMap(ground, (0, 1))
 
 
 def test_iterate_semigroup_on_random_instances():

@@ -350,7 +350,7 @@ def _counting(monkeypatch, name):
 
 def test_scan_builds_certificates_only_where_one_fires(monkeypatch):
     checks = _counting(monkeypatch, "_check")
-    inversions = _counting(monkeypatch, "invert")
+    inversions = _counting(monkeypatch, "predecessors")
     neither = fired = 0
     for F in _scan_instances():
         size = F.ground.size
