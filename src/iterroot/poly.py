@@ -1,11 +1,10 @@
 """Nonexistence advice for iterative roots of complex polynomials.
 
-Exact rules (degree, primality, and the modular power criterion for pure
-power maps) use integer arithmetic only.  The two structural rules match
-coefficients numerically and report the tolerance they used.  Advice only
-ever asserts nonexistence: an empty findings list claims nothing.  numpy
-is imported inside ``polynomial_roots``, the only function that uses it, so
-that importing the package or starting the CLI does not load it.
+Exact rules (degree, primality, the modular power criterion for pure power
+maps, and the count of a cubic's fixed points) use integer arithmetic only.
+The two structural rules match coefficients numerically and report the
+tolerance they used.  Advice only ever asserts nonexistence: an empty
+findings list claims nothing.
 """
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from typing import Iterable, Sequence
 from .fixedpoint import OrderExclusion
 
 COEFF_REL_TOL = 1e-9
-FIXED_POINT_CLUSTER_TOL = 1e-7
 
 
 def _finite(z: complex) -> bool:
@@ -127,56 +125,29 @@ class PolyAdvice:
 _ALL_ORDERS = OrderExclusion(1, None, "all-orders")
 
 
-def polynomial_roots(poly: ComplexPolynomial) -> list[complex]:
-    """Roots via the companion matrix (numpy), high-degree polynomials included.
+def repeated_fixed_point(poly: ComplexPolynomial) -> bool:
+    """Whether f(z) - z of a cubic f has a repeated root, that is, whether its
+    discriminant 18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 is exactly 0.
 
-    Raises ValueError when a coefficient ratio in the companion matrix
-    overflows the floating-point range.
+    Every float is a dyadic rational, so one common power of two turns all
+    real and imaginary parts into integers; the discriminant is homogeneous,
+    so the scale cannot change whether it vanishes.
     """
-    import numpy as np
+    ratios = [x.as_integer_ratio() for c in poly.coefficients for x in (c.real, c.imag)]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    ints[2] -= scale  # the coefficient of z in f(z) - z
+    d, c, b, a = zip(ints[::2], ints[1::2])
 
-    if poly.degree == 0:
-        return []
-    high_first = list(reversed(poly.coefficients))
-    with np.errstate(all="ignore"):
-        try:
-            return [complex(r) for r in np.roots(high_first)]
-        except np.linalg.LinAlgError as exc:  # numpy found inf or nan in the matrix
-            raise ValueError("coefficient ratios overflow the floating-point range") from exc
+    def mul(*factors: tuple[int, int]) -> tuple[int, int]:
+        re, im = 1, 0
+        for x, y in factors:
+            re, im = re * x - im * y, re * y + im * x
+        return re, im
 
-
-def _near(u: complex, v: complex, tol: float) -> bool:
-    """|u - v| <= tol; the components are compared first, so that abs() never
-    sees a difference whose modulus exceeds the float range."""
-    d = u - v
-    return abs(d.real) <= tol and abs(d.imag) <= tol and abs(d) <= tol
-
-
-def fixed_points(poly: ComplexPolynomial) -> list[complex]:
-    """Distinct solutions of f(z) = z, clustered at absolute tolerance."""
-    coeffs = list(poly.coefficients)
-    if len(coeffs) < 2:
-        coeffs += [0j]
-    coeffs[1] -= 1
-    shifted = ComplexPolynomial(tuple(coeffs))
-    roots = polynomial_roots(shifted)
-    reps: list[complex] = []
-    for v in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if not any(_near(v, r, FIXED_POINT_CLUSTER_TOL) for r in reps):
-            reps.append(v)
-    return reps
-
-
-def non_isolated_fixed_points(poly: ComplexPolynomial) -> list[complex]:
-    """Fixed points z* with some other solution of f(y) = z*."""
-    out = []
-    for z in fixed_points(poly):
-        coeffs = list(poly.coefficients)
-        coeffs[0] -= z
-        preimages = polynomial_roots(ComplexPolynomial(tuple(coeffs)))
-        if not all(_near(y, z, FIXED_POINT_CLUSTER_TOL) for y in preimages):
-            out.append(z)
-    return out
+    terms = ((18, mul(a, b, c, d)), (-4, mul(b, b, b, d)), (1, mul(b, b, c, c)),
+             (-4, mul(a, c, c, c)), (-27, mul(a, a, d, d)))
+    return not any(sum(k * t[part] for k, t in terms) for part in (0, 1))
 
 
 def _coeffs_close(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
@@ -266,11 +237,7 @@ def advise(poly: ComplexPolynomial, n: int) -> PolyAdvice:
     if is_pure_power and solar_criterion(d):
         findings.append(Finding("Solar", _ALL_ORDERS, "Solarz 1976; list in Riesel 1964"))
 
-    try:  # the one rule that reads fixed points abstains when the root finder overflows
-        fewer_fixed_points = d == 3 and len(fixed_points(poly)) < 3
-    except ValueError:
-        fewer_fixed_points = False
-    if fewer_fixed_points and not conjugate_to_special_cubic(poly):
+    if d == 3 and repeated_fixed_point(poly) and not conjugate_to_special_cubic(poly):
         findings.append(Finding(
             "CubicSpecial", _ALL_ORDERS,
             "Choczewski & Kuczma 1992, Thm. 6",

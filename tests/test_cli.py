@@ -356,8 +356,8 @@ def test_poly_non_finite_coefficient_is_input_error(capsys, coeffs):
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
 def test_poly_root_finder_overflow_keeps_exact_findings(capsys, json_flag):
-    # the companion matrix of 1e-320 z^3 + 2 z^2 + z overflows; only CubicSpecial
-    # reads fixed points, so it alone abstains and PrimeOrder still excludes 5
+    # the conjugacy test of 1e-320 z^3 + 2 z^2 + z overflows; only CubicSpecial
+    # reads it, so it alone abstains and PrimeOrder still excludes 5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "poly", "--coeffs", "0,1,2,1e-320", "--order", "5",
@@ -371,6 +371,27 @@ def test_poly_root_finder_overflow_keeps_exact_findings(capsys, json_flag):
     else:
         assert out == ("PrimeOrder: excludes orders 5 [Choczewski & Kuczma 1992, Thm. 1]\n"
                        "order 5 excluded: True\n")
+
+
+@pytest.mark.parametrize("coeffs, fires", [
+    # z + (z - 1)(z - 1 - 2**-30)(z + 5): three distinct fixed points, exact in floats
+    ("5.000000004656613,-8.00000000372529,2.9999999990686774,1.0", False),
+    ("-1,4,-3,1", True),  # z + (z - 1)^3: one triple fixed point
+    ("-8,13,-6,1", True),  # z + (z - 2)^3
+])
+def test_poly_cubic_special_counts_fixed_points_exactly(capsys, coeffs, fires):
+    code, out, err = run(capsys, "poly", f"--coeffs={coeffs}", "--order", "2")
+    finding = ("CubicSpecial: excludes all orders n > 1 (tolerance 1e-09) "
+               "[Choczewski & Kuczma 1992, Thm. 6]" if fires else "no finding; nothing is asserted")
+    assert (code, out, err) == (0, f"{finding}\norder 2 excluded: {fires}\n", "")
+    code, out, err = run(capsys, "poly", f"--coeffs={coeffs}", "--order", "2", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["excludes_order"] is fires
+    assert payload["findings"] == ([{
+        "citation": "Choczewski & Kuczma 1992, Thm. 6", "rule": "CubicSpecial",
+        "tolerance": 1e-09,
+        "excluded": {"lower_bound": 1, "forbidden_divisor_max": None}}] if fires else [])
 
 
 def test_poly_overflowing_cubic_asserts_nothing(capsys):

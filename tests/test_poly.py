@@ -19,14 +19,14 @@ from iterroot.poly import (
     advise,
     conjugate_to_special_cubic,
     first_solar,
-    fixed_points,
     is_prime,
-    non_isolated_fixed_points,
-    polynomial_roots,
     primes_upto,
+    repeated_fixed_point,
     shifted_monomial_parameters,
     solar_criterion,
 )
+
+from poly_oracle import fixed_points, non_isolated_fixed_points, polynomial_roots
 
 SOLAR_25 = [2, 3, 6, 11, 14, 15, 34, 39, 47, 58, 59, 66, 83, 86, 87,
             95, 102, 103, 106, 111, 114, 119, 123, 139, 142]
@@ -228,16 +228,34 @@ def test_conjugation_kernel_verdicts_equal_the_numpy_reference():
     assert conjugate >= 1500 and shifted >= 1500  # both verdicts occur often
 
 
+_ENV = dict(os.environ, PYTHONPATH=str(Path(iterroot.__file__).parent.parent))
+
+
 def test_poly_advice_on_pure_powers_does_not_load_numpy():
-    env = dict(os.environ, PYTHONPATH=str(Path(iterroot.__file__).parent.parent))
-    for coeffs in ("0,0,1", "0,0,0,0,0,1"):
+    # the pure powers, and the four polynomials of the cli benchmark, cubic included
+    for coeffs, n in (("0,0,1", 3), ("0,0,0,0,0,1", 3), ("0,0,0,0,0,1", 2), ("1,0,0,1", 2),
+                      ("0.5,1,0,0,1", 3)):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "iterroot.cli", "poly",
-             "--coeffs", coeffs, "--order", "3"],
-            env=env, capture_output=True, text=True, timeout=60)
+             "--coeffs", coeffs, "--order", str(n)],
+            env=_ENV, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
-        assert "order 3 excluded:" in proc.stdout
+        assert f"order {n} excluded:" in proc.stdout
         assert "iterroot.poly" in proc.stderr and "numpy" not in proc.stderr
+
+
+def test_cubic_advice_leaves_numpy_unloaded():
+    # every branch of the cubic rule: three fixed points, a triple one, the
+    # special cubic, and a conjugacy test that overflows
+    code = ("import sys\n"
+            "from iterroot.poly import ComplexPolynomial, advise\n"
+            "for c in ((1, 0, 0, 1), (-1, 4, -3, 1), (0, 1, -1, 1), (0, 1, 2, 1e-320)):\n"
+            "    print(*(f.rule for f in advise(ComplexPolynomial(c), 2).findings))\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "\nCubicSpecial\n\n\nFalse\n"
 
 
 def test_shifted_monomial_rejects_generic_polynomials():
@@ -315,6 +333,65 @@ def test_advise_cubic_with_few_fixed_points():
     advice = advise(ComplexPolynomial(tuple(coeffs[:4])), 2)
     assert "CubicSpecial" in {f.rule for f in advice.findings}
     assert advice.excludes_order(2)
+
+
+def test_close_simple_fixed_points_back_no_cubic_special():
+    # f(z) = z + (z - 1)(z - 1 - e)(z + 5) with e = 2**-30: three distinct fixed
+    # points, each exact in floats, and so are the coefficients
+    e = 2.0 ** -30
+    p = poly(5.000000004656613, -8.00000000372529, 2.9999999990686774, 1.0)
+    assert p.coefficients == (5 + 5 * e, -8 - 4 * e, 3 - e, 1)
+    assert not repeated_fixed_point(p)
+    assert "CubicSpecial" not in {f.rule for f in advise(p, 2).findings}
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_triple_fixed_point_backs_cubic_special(c):
+    # f(z) = z + (z - c)^3 has the one fixed point c, of multiplicity 3
+    p = poly(-c**3, 3 * c * c + 1, -3 * c, 1)
+    assert repeated_fixed_point(p)
+    assert not conjugate_to_special_cubic(p)
+    assert [f.rule for f in advise(p, 2).findings] == ["CubicSpecial"]
+
+
+def _cubic_with_fixed_points(lead, roots, shift):
+    """z + lead (z - r1)(z - r2)(z - r3), where lead and each 2**shift * r are
+    Gaussian integers (x, y); expanded in integers, so every float coefficient
+    is exact."""
+    coeffs = [lead]  # lead * prod(2**shift z - x - iy), that is 2**(3 shift) (f(z) - z)
+    for x, y in roots:
+        up = [(0, 0)] + [(a << shift, b << shift) for a, b in coeffs]
+        coeffs = [(u - x * a + y * b, v - x * b - y * a)
+                  for (u, v), (a, b) in zip(up, coeffs + [(0, 0)])]
+    assert all(abs(part) < 2**52 for c in coeffs for part in c)
+    out = [complex(math.ldexp(a, -3 * shift), math.ldexp(b, -3 * shift)) for a, b in coeffs]
+    out[1] += 1
+    return ComplexPolynomial(tuple(out))
+
+
+def test_exact_fixed_point_count_matches_the_pattern_and_the_oracle():
+    # dyadic Gaussian fixed points at multiplicities 1-1-1 (some two of them
+    # 2**-12 apart), 2-1 and 3; the numpy oracle is asked only where the three
+    # fixed points lie at least 1e-3 apart, since its copies of a repeated root
+    # often differ by more than its 1e-7 clustering tolerance
+    rng = random.Random(16)
+    shift, compared = 12, 0
+    for k in range(1500):
+        distinct = 3 - k % 3
+        g = [(rng.randint(-2**13, 2**13), rng.randint(-2**13, 2**13)) for _ in range(3)]
+        if distinct == 3 and k % 2:
+            g[1] = (g[0][0] + 1, g[0][1])
+        lead = (rng.randint(-8, 8), rng.randint(1, 8))
+        if len(set(g)) < 3:
+            continue
+        p = _cubic_with_fixed_points(lead, g[:distinct] + [g[0]] * (3 - distinct), shift)
+        assert repeated_fixed_point(p) == (distinct < 3), (g, distinct)
+        zs = [complex(x, y) / 2**shift for x, y in g]
+        if distinct == 3 and min(abs(zs[0] - zs[1]), abs(zs[0] - zs[2]),
+                                 abs(zs[1] - zs[2])) >= 1e-3:
+            assert len(fixed_points(p)) == 3, p
+            compared += 1
+    assert compared >= 200
 
 
 def test_advise_special_cubic_is_not_flagged():
@@ -396,7 +473,7 @@ def test_overflowing_conjugacy_test_backs_no_finding():
 
 
 def test_roots_out_of_floating_point_range_are_an_error():
-    # the companion matrix of 1e-320 z^3 + 2 z^2 + z holds 2/1e-320 = inf
+    # the companion matrix of the numpy oracle for 1e-320 z^3 + 2 z^2 + z holds 2/1e-320 = inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="coefficient ratios overflow"):
@@ -411,6 +488,8 @@ _EXACT_RULES = {"Quadratic", "Solar", "RiceDegree", "PrimeOrder"}
                 max_size=6).filter(lambda low: any(abs(c) >= 0.5 for c in low)),
        st.sampled_from([1e-320, -5e-324, 1e-310j]), st.integers(2, 40))
 def test_exact_findings_survive_a_failed_root_finder(low, lead, n):
+    # leading coefficients at which the numpy oracle overflows; advise finds no
+    # roots, and its exact findings are those of the same polynomial led by 2
     p = poly(*low, lead)
     with pytest.raises(ValueError, match="coefficient ratios overflow"):
         polynomial_roots(p)
@@ -420,7 +499,9 @@ def test_exact_findings_survive_a_failed_root_finder(low, lead, n):
 
 
 def test_root_finder_overflow_silences_only_cubic_special():
-    # PrimeOrder needs no roots, so an overflowing root finder must not void it
+    # 1e-320 z^3 + 2 z^2 + z has the double fixed point 0, but its conjugacy test
+    # overflows (1/1e-320 = inf), so CubicSpecial abstains; PrimeOrder reads
+    # neither, so the overflow must not void it
     advice = _advice_without_warnings((0, 1, 2, 1e-320), 5)
     assert [f.rule for f in advice.findings] == ["PrimeOrder"]
     assert advice.excludes_order(5)
