@@ -20,8 +20,16 @@ newly decided point i, so at depth i only these are re-checked:
   search re-walks each orbit.  The single-map search does the reverse walk
   once per depth: the points that first meet i after k steps must all have
   the same f-image, which is then where step n - k of the walk from i must
-  end, as f(i) is for step n.  Each value is checked by one forward walk
-  from i against these endpoints.
+  end, as f(i) is for step n.  These levels are disjoint sets of earlier
+  points, so a depth keeps at most i + 1 endpoint checks, and each value is
+  checked by one forward walk from i that tests only those steps.
+
+No walk runs for n steps when n is large.  A single-map walk from i through
+the i + 1 decided points that has made more than i steps has repeated a
+point, so it is on its cycle, and every later check step is read off the
+cycle by its index.  Once n exceeds the ground size, the multi-map orbit
+walk, a sequence of sets, stops at its first repeated set and reads step n
+off the cycle.  What a node costs is thus bounded by the ground, not by n.
 
 A node is one candidate image tried at one point, counted whether or not
 commutation allows it; the single-map search counts the values it excludes
@@ -139,7 +147,8 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
 def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCONSTRAINED,
                     budget: int = DEFAULT_BUDGET, max_points: int | None = None) -> SearchResult:
     """Search for a multifunction G with G^n = F inside the constraint class; the
-    budget bounds memory too, as at most ``budget + 1`` candidate images are built."""
+    budget bounds memory too, as candidate images are built only as far as the
+    depths read them, at most ``budget + 1``."""
     return _search(F, n, constraint, budget, max_points,
                    lambda: _multi_engine(F, n, constraint, budget))
 
@@ -157,10 +166,21 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
     in_bound = constraint.bound if constraint.variant == MAX_IN_VARIANT else None
     fimgs = F.images
     fpreds = invert(F).images
-    # per candidate m: its points, and F(m) for the commutation check at i; a depth
-    # that reads entry j has counted j + 1 nodes, so none reads past entry ``budget``
-    table = [(m, tuple(bits(m)), union_of(fimgs, m))
-             for m in islice(_candidates(size, constraint), budget + 1)]
+    # per candidate m: its points, and F(m) for the commutation check at i.  The
+    # table grows only when a depth reads past its end, so it holds at most about
+    # twice the entries any depth has read; a depth that reads entry j has counted
+    # j + 1 nodes, so none reads past entry ``budget``
+    source = islice(_candidates(size, constraint), budget + 1)
+    table: list[tuple[int, tuple[int, ...], int]] = []
+    spent = False  # whether the table holds every entry of ``source``
+
+    def grow() -> None:
+        # doubling: a search grows the table about log2(entries read) times
+        nonlocal spent
+        before = len(table)
+        table.extend((m, tuple(bits(m)), union_of(fimgs, m))
+                     for m in islice(source, before + 1))
+        spent = len(table) <= 2 * before  # the batch came short: the source is used up
 
     imgs = [0] * size
     preds = [0] * size  # at depth i, preds[y] holds the points x < i with y in imgs[x]
@@ -168,13 +188,26 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
 
     def orbit_fits(x: int, decided: int) -> bool:
         # the n-step walks from x through decided points are a lower bound of
-        # G^n(x), and they are all of it once no walk leaves the decided points
-        cur = 1 << x
+        # G^n(x), and they are all of it once no walk leaves the decided points.
+        # Above the ground size, the walk stops at its first repeated set, whose
+        # cycle gives step n; ``complete`` is a function of the set, so the steps
+        # before the repeat decide it
+        cur = imgs[x]  # step 1: x itself is decided
         complete = True
-        for _ in range(n):
+        seen = {} if n > size else None  # set -> the first step that reached it
+        for step in range(1, n):
+            if seen is not None:
+                first = seen.setdefault(cur, step)
+                if first != step:  # list(seen)[k] is the set at step k + 1
+                    cur = list(seen)[first - 1 + (n - first) % (step - first)]
+                    break
             if cur & ~decided:
                 complete = False
-            cur = union_of(imgs, cur & decided)
+            m, cur = cur & decided, 0  # union_of inlined: this is the hottest loop
+            while m:
+                low = m & -m
+                cur |= imgs[low.bit_length() - 1]
+                m ^= low
         return cur == fimgs[x] if complete else not cur & ~fimgs[x]
 
     def rec(i: int) -> bool:
@@ -208,26 +241,35 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
                 break
             reach |= frontier
         affected = tuple(bits(reach))
-        for m, points, fg in table:
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            if m & ~upper or lower & ~m:
-                continue
-            gf = gf_rest | m if loops else gf_rest
-            if (gf != fg) if fi_decided else (gf & ~fg):
-                continue
-            if in_bound is not None and any(preds[y].bit_count() >= in_bound for y in points):
-                continue
-            imgs[i] = m
-            if all(orbit_fits(x, decided) for x in affected):
-                for y in points:
-                    preds[y] |= bit
-                if rec(i + 1):
-                    return True
-                for y in points:
-                    preds[y] ^= bit
-        return False
+        read = 0  # the table entries this depth has tried
+        while True:
+            for m, points, fg in islice(table, read, None) if read else table:
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetExceeded
+                if m & ~upper or lower & ~m:
+                    continue
+                gf = gf_rest | m if loops else gf_rest
+                if (gf != fg) if fi_decided else (gf & ~fg):
+                    continue
+                if in_bound is not None and any(preds[y].bit_count() >= in_bound
+                                                for y in points):
+                    continue
+                imgs[i] = m
+                for x in affected:
+                    if not orbit_fits(x, decided):
+                        break
+                else:
+                    for y in points:
+                        preds[y] |= bit
+                    if rec(i + 1):
+                        return True
+                    for y in points:
+                        preds[y] ^= bit
+            if spent:
+                return False
+            read = len(table)
+            grow()
 
     try:
         return (Multifunction(F.ground, tuple(imgs)) if rec(0) else None), nodes
@@ -238,7 +280,9 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
 def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None, int]:
     size = f.ground.size
     fv = f.image
-    fpreds = invert(f).images  # fpreds[v]: the points x with f(x) = v
+    inverse = invert(f)
+    fpreds = inverse.images  # fpreds[v]: the points x with f(x) = v
+    early = [tuple(x for x in row if x < v) for v, row in enumerate(inverse.rows)]
     fixed = sum(1 << x for x in range(size) if fv[x] == x)
     full = (1 << size) - 1
 
@@ -254,7 +298,7 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
         # commutation f(g(x)) = g(f(x)) at the earlier x with f(x) = i fixes
         # g(i) = f(g(x)), and at i itself it fixes f(g(i)) once f(i) is decided
         allowed = full
-        for x in bits(fpreds[i] & (bit - 1)):
+        for x in early[i]:
             allowed &= 1 << fv[g[x]]
         fi = fv[i]
         if fi < i:
@@ -263,12 +307,13 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             allowed &= fixed
         last = -1  # every value v counts as a node, visited or not
         if allowed:
-            # ends[j - 1]: where step j of the walk from i must end, or None.
-            # Step n ends at f(i).  An earlier point whose walk first meets i
-            # after k steps has a complete orbit iff the walk from i takes
-            # n - k steps, and then it must end at the one f-image of level k
-            # (-1, which no walk reaches, when level k has several images).
-            ends = [None] * (n - 1) + [fi]
+            # checks: the (j, e) pairs, by increasing j, where step j of the walk
+            # from i must end at e.  Step n ends at f(i).  An earlier point whose
+            # walk first meets i after k steps has a complete orbit iff the walk
+            # from i takes n - k steps, and then it must end at the one f-image of
+            # level k (-1, which no walk reaches, when level k has several images).
+            # The levels are disjoint sets of earlier points, so there are at most i.
+            checks = [(n, fi)]
             level = bit
             for k in range(1, n):
                 m, level = level, 0
@@ -279,7 +324,9 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                 if not level:
                     break
                 y = fv[(level & -level).bit_length() - 1]
-                ends[n - k - 1] = -1 if level & ~fpreds[y] else y
+                checks.append((n - k, -1 if level & ~fpreds[y] else y))
+            checks.reverse()
+            cycle_of = -1  # the value whose walk from i has its cycle in ``cycle``
             m = allowed
             while m:
                 low = m & -m
@@ -290,15 +337,26 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                 if nodes > budget:
                     raise _BudgetExceeded
                 g[i] = cur = v
-                fits = True
-                for e in ends:  # the walk from i, through decided points only
-                    if e is not None and e != cur:
-                        fits = False
+                s = 1  # cur is where step s of the walk from i ends
+                for step, end in checks:
+                    while s < step and cur <= i:  # the walk goes through decided points only
+                        if s > i:
+                            # s + 1 visits to the i + 1 decided points repeat one, so
+                            # cur lies on the walk's cycle, which gives every later step
+                            if cycle_of != v:
+                                cycle, cycle_of, base, y = [cur], v, s, g[cur]
+                                while y != cur:
+                                    cycle.append(y)
+                                    y = g[y]
+                            cur, s = cycle[(step - base) % len(cycle)], step
+                            break
+                        cur = g[cur]
+                        s += 1
+                    if s < step:
+                        continue  # the walk left the decided points: no orbit from here is complete
+                    if cur != end:
                         break
-                    if cur > i:
-                        break
-                    cur = g[cur]
-                if fits:
+                else:
                     preds[v] |= bit
                     if rec(i + 1):
                         return True

@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -191,12 +192,12 @@ def test_a_search_leaves_no_cyclic_garbage(run, outcome):
         gc.enable()
 
 
-def _run_cli(*argv):
-    """``python -m iterroot.cli *argv`` under a 512 MiB address-space ceiling, so a
-    request that allocates without bound fails with MemoryError instead of
-    filling the machine."""
+def _run_cli(*argv, ceiling=512 * 2**20):
+    """``python -m iterroot.cli *argv`` under an address-space ceiling (512 MiB by
+    default), so a request that allocates without bound fails with MemoryError
+    instead of filling the machine."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+        resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
     env = dict(os.environ, PYTHONPATH=str(Path(iterroot.__file__).parent.parent))
     return subprocess.run([sys.executable, "-m", "iterroot.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60, preexec_fn=limit)
@@ -231,6 +232,18 @@ def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
     proc = _run_cli("search", str(path), "--order", "2")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: ground of 1200 points is deeper than the search can recurse\n"
+    # the same ground as a multifunction, with a budget of a million nodes: the
+    # candidate table grows only as far as the depths read, so the search reaches
+    # the recursion limit at once and in little memory
+    path = tmp_path / "identity1200-multi.mfn"
+    path.write_text(made.stdout.replace("kind single\n", ""), encoding="utf-8")
+    start = time.perf_counter()
+    proc = _run_cli("search", str(path), "--order", "2", "--budget", "1000000",
+                    ceiling=128 * 2**20)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == "error: ground of 1200 points is deeper than the search can recurse\n"
+    assert elapsed < 2.0
     # the refused search leaves no cycle behind, as a finished one does
     gc.collect()
     gc.disable()
@@ -240,6 +253,24 @@ def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("extra, nodes", [((), "190"), (("--max-out", "1"), "228")],
+                         ids=["single", "multi-max-out-1"])
+def test_a_large_order_costs_what_a_small_one_does(tmp_path, extra, nodes):
+    # the walks stop at their first repeat, so an order of ten million explores
+    # the nodes of orders 40-1000 at about their cost
+    made = _run_cli("instance", "cyclic-power", "--modulus", "5", "--exponent", "2")
+    assert made.returncode == 0, made.stderr
+    path = tmp_path / "cp5.mfn"
+    path.write_text(made.stdout, encoding="utf-8")
+    start = time.perf_counter()
+    proc = _run_cli("search", str(path), "--order", "10000000", *extra, "--json")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {"order": 10_000_000, "outcome": "exhausted",
+                                       "nodes_explored": nodes, "witness": None}
+    assert elapsed < 5.0
 
 
 def test_parameter_validation():
@@ -524,3 +555,51 @@ def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
     else:
         result = find_multi_root(target, n, constraint, max_points=size)
     assert (result.outcome, result.nodes_explored) == (outcome, nodes)
+
+
+def test_walks_cut_at_their_first_repeat_match_the_references():
+    # orders up to three times the ground: the single-map walk from i jumps into
+    # its cycle once it has made more steps than there are decided points, and the
+    # multi-map set walk once the order exceeds the ground size
+    rng = random.Random(20261021)
+    classes = (UNCONSTRAINED, max_out_degree(2), max_in_degree(2),
+               max_out_degree(1, require_total_domain=True))
+    for trial in range(160):
+        size = rng.randint(2, 6)
+        n = rng.randint(2, 3 * size)
+        make = (random_single_map, random_permutation)[trial % 2]
+        f = make(size, rng.randrange(2**31))
+        if trial % 3 == 0:  # a planted root makes witnesses common
+            f = iterate_map(f, n)
+        got = _summary(find_single_root(f, n, budget=20_000), "single")
+        assert got == _reference_single(f, n, 20_000), (f.image, n)
+        constraint = classes[trial % len(classes)]
+        root = random_multifunction(size, rng.randrange(2**31), max_out_degree=2, density=0.3)
+        F = iterate(root, n) if trial % 2 else random_multifunction(size, rng.randrange(2**31))
+        budget = 2_000 if size > 4 else 20_000
+        got = _summary(find_multi_root(F, n, constraint, budget=budget), "multi")
+        assert got == _reference_multi(F, n, constraint, budget), (F.images, n, constraint)
+
+
+def test_results_repeat_with_period_60_past_order_25():
+    # on 6 points every walk is periodic from step (6 - 1)**2 + 1 = 26 on, with a
+    # period dividing lcm(1..6) = 60: so are the powers of a planted root
+    rng = random.Random(20261022)
+    maps = [random_permutation(6, rng.randrange(2**31)),
+            random_single_map(6, rng.randrange(2**31)),
+            random_single_map(6, rng.randrange(2**31))]
+    multis = [random_multifunction(6, rng.randrange(2**31), max_out_degree=2, density=0.3)
+              for _ in range(2)]
+    for n in range(26, 41):
+        for root in maps:
+            assert iterate_map(root, n) == iterate_map(root, n + 60)
+            for f in (root, iterate_map(root, n)):
+                assert (_summary(find_single_root(f, n), "single")
+                        == _summary(find_single_root(f, n + 60), "single")), (f.image, n)
+        for root in multis:
+            F = iterate(root, n)
+            assert F == iterate(root, n + 60)
+            for constraint in (max_out_degree(1), max_in_degree(2)):
+                assert (_summary(find_multi_root(F, n, constraint, budget=5_000), "multi")
+                        == _summary(find_multi_root(F, n + 60, constraint, budget=5_000),
+                                    "multi")), (F.images, n, constraint)
