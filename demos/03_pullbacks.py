@@ -18,7 +18,7 @@ def main():
     g = cyclic_power(8, 1, "add")
     F = pullback_of(f)
     print("translation by 2 on Z_8; its pullback is translation by -2:")
-    print("  F(0) =", {f.ground.labels[y] for y in F.image_set(0)})
+    print("  F(0) =", {f.ground.labels[y] for y in F.rows[0]})
 
     witness = is_pullback(F)
     print(f"  recognized as a pullback: {witness.is_pullback}, "

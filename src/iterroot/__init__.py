@@ -7,12 +7,14 @@ loads no submodule, and ``iterroot.scan`` or ``iterroot.search`` imports the
 module that defines it, so a process pays only for the modules it touches.
 """
 
-# each submodule and the public names it defines
+# each submodule and the public names it defines; equals, iterate_map, profile,
+# StructuralProfile, path_matrix, the check_* rules and the two fixedpoint
+# exclusions serve no command or module, only the benchmark's probes in bench/
 _EXPORTS = {
     "core": (
         "GroundSet", "Multifunction", "SingleMap", "StructuralProfile", "as_single_map",
-        "compose", "compose_map", "equals", "identity_map", "identity_multifunction",
-        "image", "inverse_image", "invert", "iterate", "iterate_map", "profile",
+        "compose", "equals", "identity_map", "identity_multifunction", "invert", "iterate",
+        "iterate_map", "profile",
     ),
     "criteria": (
         "Certificate", "Conclusion", "Rule", "check_forward_paths", "check_forward_points",
@@ -27,7 +29,7 @@ _EXPORTS = {
         "random_multifunction", "random_permutation", "random_single_map",
     ),
     "mfnio": ("ParseError", "parse", "serialize"),
-    "paths": ("PathCountMatrix", "count_paths", "count_paths_dfs", "path_matrix"),
+    "paths": ("count_paths", "path_matrix"),
     "poly": ("ComplexPolynomial", "PolyAdvice", "advise", "first_solar", "solar_criterion"),
     "pullback": (
         "PullbackWitness", "decomposition_check", "is_pullback", "pullback_of",

@@ -4,9 +4,9 @@ polynomial advice, and instance emission.
 Every command is pure input to output; all randomness is seed-parameterized.
 Each loads its input, makes one library call and renders the result; the
 library function that consumes a malformed value raises ValueError, which
-``main`` prints as one ``error:`` line.  Exit codes: ``check`` 0 when a
-certificate fires / 1 when none; ``search`` 0 witness / 1 exhausted / 3 budget
-exceeded; 2 on input errors everywhere.
+``main`` prints as one ``error:`` line, as it does a MemoryError.  Exit codes:
+``check`` 0 when a certificate fires / 1 when none; ``search`` 0 witness /
+1 exhausted / 3 budget exceeded; 2 on input errors and out of memory everywhere.
 """
 from __future__ import annotations
 
@@ -197,29 +197,25 @@ def cmd_poly(args) -> int:
     coeffs = tuple(_parse_complex(tok) for tok in args.coeffs.split(","))
     polynomial = poly.ComplexPolynomial(coeffs)
     advice = poly.advise(polynomial, args.order)
+    findings, lines = [], []
+    for f in advice.findings:
+        if isinstance(f.excluded, frozenset):
+            excluded = {"orders": sorted(f.excluded)}
+            desc = "orders " + ", ".join(map(str, excluded["orders"]))
+        else:
+            excluded = {"lower_bound": f.excluded.lower_bound,
+                        "forbidden_divisor_max": f.excluded.forbidden_divisor_max}
+            desc = f.excluded.describe()
+        findings.append({"rule": f.rule, "citation": f.citation,
+                         "tolerance": f.tolerance, "excluded": excluded})
+        tol = f" (tolerance {f.tolerance})" if f.tolerance is not None else ""
+        lines.append(f"{f.rule}: excludes {desc}{tol} [{f.citation}]")
     if args.json:
-        findings = []
-        for f in advice.findings:
-            if isinstance(f.excluded, frozenset):
-                excluded = {"orders": sorted(f.excluded)}
-            else:
-                excluded = {"lower_bound": f.excluded.lower_bound,
-                            "forbidden_divisor_max": f.excluded.forbidden_divisor_max}
-            findings.append({"rule": f.rule, "citation": f.citation,
-                             "tolerance": f.tolerance, "excluded": excluded})
         print(json.dumps({"degree": polynomial.degree, "order": args.order,
                           "excludes_order": advice.excludes_order(args.order),
                           "findings": findings}, indent=2, sort_keys=True))
     else:
-        if not advice.findings:
-            print("no finding; nothing is asserted")
-        for f in advice.findings:
-            if isinstance(f.excluded, frozenset):
-                desc = "orders " + ", ".join(str(n) for n in sorted(f.excluded))
-            else:
-                desc = f.excluded.describe()
-            tol = f" (tolerance {f.tolerance})" if f.tolerance is not None else ""
-            print(f"{f.rule}: excludes {desc}{tol} [{f.citation}]")
+        print("\n".join(lines or ["no finding; nothing is asserted"]))
         print(f"order {args.order} excluded: {advice.excludes_order(args.order)}")
     return EXIT_OK
 
@@ -322,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -34,17 +34,6 @@ def union_of(images: list[int] | tuple[int, ...], mask: int) -> int:
     return out
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def set_of(mask: int) -> frozenset[int]:
-    return frozenset(bits(mask))
-
-
 _BIT = (1).__lshift__  # y -> 1 << y; the sum over a row's distinct indices is its mask
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -76,10 +65,6 @@ class GroundSet:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
 
     def index(self, label: str) -> int:
         if self._positions is None:
@@ -172,12 +157,6 @@ class Multifunction:
     def __repr__(self) -> str:
         return f"Multifunction.from_sets({self.ground!r}, {self.rows!r})"
 
-    def image_set(self, x: int) -> frozenset[int]:
-        return frozenset(self.rows[x])
-
-    def out_degree(self, x: int) -> int:
-        return len(self.rows[x])
-
 
 @dataclass(frozen=True)
 class SingleMap:
@@ -254,25 +233,8 @@ def iterate(F: Multifunction | SingleMap, n: int) -> Multifunction | SingleMap:
     return result
 
 
-# public names kept for callers of the map forms; both serve maps and multifunctions
-compose_map = compose
+# the map-form name of ``iterate``, which serves maps and multifunctions alike
 iterate_map = iterate
-
-
-def image(F: Multifunction, A: Iterable[int]) -> frozenset[int]:
-    """The image of a point set: the union of the images of its points."""
-    return set_of(union_of(F.images, mask_of(A)))
-
-
-def inverse_image(F: Multifunction, A: Iterable[int], k: int) -> frozenset[int]:
-    """Points whose k-step image meets A, for k >= 1."""
-    if k < 1:
-        raise ValueError("inverse image order must be at least 1")
-    amask = mask_of(A)
-    if amask & ~F.ground.full_mask:
-        raise ValueError("point set not contained in the ground set")
-    Fk = iterate(F, k)
-    return frozenset(x for x in range(F.ground.size) if Fk.images[x] & amask)
 
 
 def predecessors(F: Multifunction | SingleMap) -> list[list[int]]:

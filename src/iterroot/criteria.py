@@ -25,8 +25,8 @@ At the argmax itself Q <= top*second, so ``scan`` computes no Q in a view where
 that product is at most M*N^3.  Totality of G is a base hypothesis, so ``scan``
 costs O(size + edges) when F is neither total nor surjective, and otherwise one
 inversion, one view per live direction (G total), and per rule at most one Q at
-``top_at`` and at most one ``Certificate``.
-Dense matrix powers (``paths.path_matrix``) and ``iterate`` are test oracles only.
+``top_at`` and at most one ``Certificate``.  ``check_rule`` answers for any rule,
+points and N.  Dense matrices (``paths.path_matrix``) and ``iterate`` are oracles.
 """
 from __future__ import annotations
 
@@ -185,13 +185,6 @@ def check_inverse_points(F: Multifunction, x0: int, M: int, N: int) -> Certifica
     """The forward point rule applied to the edge-reversed graph of F."""
     return check_rule(F, Rule.INVERSE_POINTS, M, [x0], N)[0]
 
-
-CHECKERS = {
-    Rule.FORWARD_PATHS: check_forward_paths,
-    Rule.FORWARD_POINTS: check_forward_points,
-    Rule.INVERSE_PATHS: check_inverse_paths,
-    Rule.INVERSE_POINTS: check_inverse_points,
-}
 
 RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.INVERSE_POINTS)
 

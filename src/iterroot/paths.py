@@ -5,15 +5,14 @@ Counts are Python integers, hence arbitrary precision: path counts exceed
 ``paths`` command, propagates one count row over the rows of F, so it costs
 O(k * (size + edges)) additions.  ``path_matrix``, the k-th power of the dense
 adjacency matrix, is the test oracle for ``count_paths`` and for the
-closed-form certificate counts in ``criteria``.  A recursive enumeration
-counter is provided as an independent cross-check for small path lengths.
+closed-form certificate counts in ``criteria``, and the enumeration counter
+in ``tests/path_oracle.py`` checks it in turn.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import GroundSet, Multifunction
+from .core import Multifunction
 
 Matrix = list[list[int]]
 
@@ -33,24 +32,10 @@ def _matmul(A: Matrix, B: Matrix) -> Matrix:
     return [[sum(row[y] * col[y] for y in range(size)) for col in Bt] for row in A]
 
 
-@dataclass(frozen=True)
-class PathCountMatrix:
-    """Entry ``[x][y]`` counts the k-paths from x to y; k = 0 gives the identity."""
-
-    ground: GroundSet
-    k: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def count(self, x: int, y: int) -> int:
-        return self.entries[x][y]
-
-
-def path_matrix(F: Multifunction, k: int) -> PathCountMatrix:
-    """The k-th power of the 0/1 adjacency matrix of the graph of F.
-
-    Binary exponentiation that starts from the adjacency matrix itself, so
-    k = 2 costs one product and k = 0 is the identity.
-    """
+def path_matrix(F: Multifunction, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k-th power of the 0/1 adjacency matrix of F, whose row x, entry y counts
+    the k-paths from x to y, by binary exponentiation from the adjacency matrix
+    itself: k = 2 costs one product, and k = 0 gives the identity."""
     if k < 0:
         raise ValueError("path length must be nonnegative")
     M = _identity(F.ground.size) if k == 0 else None
@@ -62,7 +47,7 @@ def path_matrix(F: Multifunction, k: int) -> PathCountMatrix:
         e >>= 1
         if e:
             A = _matmul(A, A)
-    return PathCountMatrix(F.ground, k, tuple(tuple(row) for row in M))
+    return tuple(map(tuple, M))
 
 
 def count_paths(F: Multifunction, from_points: Iterable[int], to_points: Iterable[int], k: int) -> int:
@@ -84,12 +69,3 @@ def count_paths(F: Multifunction, from_points: Iterable[int], to_points: Iterabl
                     nxt[y] += c
         row = nxt
     return sum(row[y] for y in to_points)
-
-
-def count_paths_dfs(F: Multifunction, x: int, y: int, k: int) -> int:
-    """Enumeration oracle: walk the graph rather than multiply matrices."""
-    if k < 0:
-        raise ValueError("path length must be nonnegative")
-    if k == 0:
-        return int(x == y)
-    return sum(count_paths_dfs(F, z, y, k - 1) for z in F.rows[x])

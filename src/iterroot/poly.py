@@ -125,29 +125,38 @@ class PolyAdvice:
 _ALL_ORDERS = OrderExclusion(1, None, "all-orders")
 
 
-def repeated_fixed_point(poly: ComplexPolynomial) -> bool:
-    """Whether f(z) - z of a cubic f has a repeated root, that is, whether its
-    discriminant 18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 is exactly 0.
-
-    Every float is a dyadic rational, so one common power of two turns all
-    real and imaginary parts into integers; the discriminant is homogeneous,
-    so the scale cannot change whether it vanishes.
-    """
+def _fixed_point_coefficients(poly: ComplexPolynomial) -> list[tuple[int, int]]:
+    """a, b, c, d of f(z) - z = az^3 + bz^2 + cz + d for a cubic f, as Gaussian
+    integers (re, im) scaled by one power of two.  Every float is a dyadic
+    rational, so one scale makes all parts integers; each exact test on them is
+    homogeneous, so the scale cannot change whether it holds."""
     ratios = [x.as_integer_ratio() for c in poly.coefficients for x in (c.real, c.imag)]
     scale = max(den for _, den in ratios)
     ints = [num * (scale // den) for num, den in ratios]
     ints[2] -= scale  # the coefficient of z in f(z) - z
-    d, c, b, a = zip(ints[::2], ints[1::2])
+    return list(zip(ints[::2], ints[1::2]))[::-1]
 
-    def mul(*factors: tuple[int, int]) -> tuple[int, int]:
-        re, im = 1, 0
-        for x, y in factors:
-            re, im = re * x - im * y, re * y + im * x
-        return re, im
 
-    terms = ((18, mul(a, b, c, d)), (-4, mul(b, b, b, d)), (1, mul(b, b, c, c)),
-             (-4, mul(a, c, c, c)), (-27, mul(a, a, d, d)))
+def _mul(*factors: tuple[int, int]) -> tuple[int, int]:
+    re, im = 1, 0
+    for x, y in factors:
+        re, im = re * x - im * y, re * y + im * x
+    return re, im
+
+
+def repeated_fixed_point(poly: ComplexPolynomial) -> bool:
+    """Whether f(z) - z of a cubic f has a repeated root, that is, whether its
+    discriminant 18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 is exactly 0."""
+    a, b, c, d = _fixed_point_coefficients(poly)
+    terms = ((18, _mul(a, b, c, d)), (-4, _mul(b, b, b, d)), (1, _mul(b, b, c, c)),
+             (-4, _mul(a, c, c, c)), (-27, _mul(a, a, d, d)))
     return not any(sum(k * t[part] for k, t in terms) for part in (0, 1))
+
+
+def _triple_fixed_point(poly: ComplexPolynomial) -> bool:
+    """Whether f(z) - z of a cubic f is a(z - r)^3, that is, b^2 = 3ac and bc = 9ad."""
+    a, b, c, d = _fixed_point_coefficients(poly)
+    return _mul(b, b) == _mul((3, 0), a, c) and _mul(b, c) == _mul((9, 0), a, d)
 
 
 def _coeffs_close(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
@@ -191,10 +200,11 @@ def conjugate_to_special_cubic(poly: ComplexPolynomial) -> bool:
     """Whether a cubic equals h o p o h^-1 for a linear h and the special
     cubic p(z) = z^3 - z^2 + z; both scale roots are tried and coefficients matched.
 
-    A conjugate whose coefficients overflow cannot be told apart from the
-    cubic, so it counts as a match: only a finite mismatch rules one out.
+    p has a double and a simple fixed point, so a cubic with a triple one is
+    ruled out exactly; a conjugate whose coefficients overflow cannot be told
+    apart from the cubic, so it counts: only a finite mismatch rules one out.
     """
-    if poly.degree != 3:
+    if poly.degree != 3 or _triple_fixed_point(poly):
         return False
     import cmath  # loaded only here, so that starting the CLI does not load it
 

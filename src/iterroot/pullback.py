@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import Multifunction, SingleMap, compose, equals, invert, iterate
+from .core import Multifunction, SingleMap, compose, invert, iterate
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
@@ -71,7 +71,7 @@ def decomposition_check(F: Multifunction, G1: Multifunction, G2: Multifunction,
     case the report also records whether G itself is a pullback.
     """
     failed = []
-    if not equals(compose(G1, G2), F):
+    if compose(G1, G2) != F:
         failed.append("factorization")
     for name, H in (("totality", F), ("totality_g1", G1), ("totality_g2", G2)):
         if not all(H.rows):
@@ -81,7 +81,7 @@ def decomposition_check(F: Multifunction, G1: Multifunction, G2: Multifunction,
     if root is not None:
         if order is None or order < 2:
             failed.append("root_order")
-        elif not equals(iterate(root, order), F) or not all(root.rows):
+        elif iterate(root, order) != F or not all(root.rows):
             failed.append("root_identity")
     if failed:
         return DecompositionReport(False, tuple(failed))
@@ -110,5 +110,5 @@ def transfer_root(f: SingleMap, g: SingleMap, n: int) -> TransferReport:
     if set(f.image) != set(range(f.ground.size)):
         return TransferReport(False)
     map_side = iterate(g, n) == f
-    pullback_side = equals(iterate(pullback_of(g), n), pullback_of(f))
+    pullback_side = iterate(pullback_of(g), n) == pullback_of(f)
     return TransferReport(True, map_side, pullback_side, map_side == pullback_side)

@@ -319,7 +319,7 @@ def test_check_one_rule_builds_one_view(write, capsys, monkeypatch, extra):
     expected = []
     for x0 in points:
         N = 2 if "--N" in extra else criteria.minimal_N(F, rule, x0)
-        cert = criteria.CHECKERS[rule](F, x0, 1, N)
+        [cert] = criteria.check_rule(F, rule, 1, [x0], N)
         if cert.fires or "--x0" in extra:
             expected.append(_certificate_json(F.ground, cert))
     built = []

@@ -67,9 +67,9 @@ def test_compose_associative(F, data):
 @given(multifunctions(max_size=4), st.integers(1, 3), st.integers(1, 3))
 def test_path_matrix_composition_law(F, k, l):
     size = F.ground.size
-    a = path_matrix(F, k).entries
-    b = path_matrix(F, l).entries
-    total = path_matrix(F, k + l).entries
+    a = path_matrix(F, k)
+    b = path_matrix(F, l)
+    total = path_matrix(F, k + l)
     for x in range(size):
         for z in range(size):
             assert total[x][z] == sum(a[x][y] * b[y][z] for y in range(size))

@@ -255,6 +255,14 @@ def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
         gc.enable()
 
 
+def test_a_request_out_of_memory_exits_2_with_one_line(tmp_path):
+    # exit 1 would read as "exhausted", a verdict the search never reached
+    path = tmp_path / "random33.mfn"
+    path.write_text(serialize(random_multifunction(33, 3, density=0.2)), encoding="utf-8")
+    proc = _run_cli("search", str(path), "--order", "2", ceiling=128 * 2**20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("extra, nodes", [((), "190"), (("--max-out", "1"), "228")],
                          ids=["single", "multi-max-out-1"])
 def test_a_large_order_costs_what_a_small_one_does(tmp_path, extra, nodes):
