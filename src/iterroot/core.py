@@ -251,6 +251,16 @@ def predecessors(F: Multifunction | SingleMap) -> list[list[int]]:
     return preds
 
 
+def _in_degrees(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Per point y, the number of ``rows`` that hold y: one pass over the edges, with
+    no list of sources per point."""
+    degrees = [0] * len(rows)
+    for row in rows:
+        for y in row:
+            degrees[y] += 1
+    return degrees
+
+
 def invert(F: Multifunction | SingleMap) -> Multifunction:
     """Reverse every edge of the graph of F; for a map f, its pullback x -> f^-1(x)."""
     return Multifunction._of_rows(F.ground, tuple(map(tuple, predecessors(F))))
@@ -278,7 +288,7 @@ def profile(F: Multifunction) -> StructuralProfile:
     rows = F.rows
     size = F.ground.size
     out_degrees = tuple(map(len, rows))
-    in_degrees = tuple(map(len, predecessors(F)))
+    in_degrees = tuple(_in_degrees(rows))
     return StructuralProfile(
         domain=frozenset(x for x in range(size) if rows[x]),
         image=frozenset(y for y in range(size) if in_degrees[y]),

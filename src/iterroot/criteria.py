@@ -7,14 +7,15 @@ of any order n >= 2 inside a degree-bounded class, and with two extra
 hypotheses no roots at all.  The inverse rules are, by construction,
 the forward rules applied to the edge-reversed graph.
 
-Q is read in closed form off the predecessor rows ``preds`` of G, where G is F
-for the forward rules and its reversal for the inverse ones: ``preds[x]`` lists,
-ascending, the points with an edge into x, so it is ``core.predecessors(F)`` for
-G = F and F's own ``rows`` for the reversal.  The path rules count 2-paths into
-x0, Q = sum of indeg(y) over y in preds[x0]; the point rules count 2-step
-preimages, Q = |union of preds[y] over y in preds[x0]|.  The side hypotheses read
-the same rows (indeg(y) is the length of preds[y]), so a direction's view costs
-O(size) past the one inversion of F, which costs O(size + edges).
+A direction G (F for the forward rules, its reversal for the inverse ones) is
+read off two degree lists of F, its out-degrees and its in-degrees, counted in
+one pass over the edges; the reversal swaps them.  They give every side
+hypothesis (x is fixed in G exactly when x is in F's row at x).  Q needs G's
+predecessors ``preds[x0]`` at the witness alone: F's row at x0 for the reversal,
+else the sources whose row holds x0.  The path rules count 2-paths into x0, Q =
+sum of indeg(y) over y in preds[x0]; the point rules count 2-step preimages, Q =
+|union of preds[y] over y in preds[x0]|, for G = F the number of rows that meet
+preds[x0].  No rule inverts F.
 
 Only the unique point of largest in-degree in G can fire, whatever M and N.  If
 x0 is not fixed, no y in preds[x0] is x0, so Q_points <= Q_paths = sum of
@@ -23,18 +24,20 @@ away from x0, and N_bound_holds needs N >= n_max(x0).  Away from the unique
 argmax indeg(x0) <= n_max(x0), so Q <= N^2 <= M*N^3 (Q = 0 when n_max(x0) = 0).
 At the argmax itself Q <= top*second, so ``scan`` computes no Q in a view where
 that product is at most M*N^3.  Totality of G is a base hypothesis, so ``scan``
-costs O(size + edges) when F is neither total nor surjective, and otherwise one
-inversion, one view per live direction (G total), and per rule at most one Q at
-``top_at`` and at most one ``Certificate``.  ``check_rule`` answers for any rule,
-points and N.  Dense matrices (``paths.path_matrix``) and ``iterate`` are oracles.
+costs the two degree lists, O(size + edges), and per rule of a live direction (G
+total) at most one Q at ``top_at`` (one pass over the rows for G = F) and one
+``Certificate``.  ``check_rule`` answers for any rule, points and N.  Dense
+matrices (``paths.path_matrix``) and ``iterate`` are oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count, repeat
+from operator import contains
 from typing import Iterable
 
-from .core import Multifunction, predecessors
+from .core import Multifunction, _in_degrees
 
 
 class Rule(str, Enum):
@@ -66,17 +69,23 @@ _PATH_RULES = frozenset({Rule.FORWARD_PATHS, Rule.INVERSE_PATHS})
 
 class _View:
     """One direction G of F, as the rules read it: G is F, or its reversal when
-    ``inverse``, through its predecessor rows ``preds`` and successor rows ``succs``;
-    ``inv`` is ``predecessors(F)``.  ``top`` is the largest in-degree of G, first at
-    ``top_at``, and ``second`` the largest one away from ``top_at`` (0 on a one-point
-    ground)."""
+    ``inverse``, through F's ``rows`` and G's ``in_degrees`` and ``out_degrees``: F's
+    ``degrees`` (out, in), counted here unless given, whose roles the reversal swaps.
+    ``top`` is the largest in-degree of G, first at ``top_at``, and ``second`` the
+    largest one away from ``top_at`` (0 on a one-point ground)."""
 
-    def __init__(self, F: Multifunction, inverse: bool, inv: list[list[int]]) -> None:
-        self.preds, self.succs = (F.rows, inv) if inverse else (inv, F.rows)
-        self.in_degrees = indeg = list(map(len, self.preds))
-        self.top = max(indeg)
-        self.top_at = indeg.index(self.top)
-        self.second = max(indeg[:self.top_at] + indeg[self.top_at + 1:], default=0)
+    __slots__ = ("rows", "inverse", "in_degrees", "out_degrees", "top", "top_at", "second")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], inverse: bool,
+                 degrees: tuple[list[int], list[int]] | None = None) -> None:
+        out, ind = degrees or (list(map(len, rows)), _in_degrees(rows))
+        indeg, self.out_degrees = (out, ind) if inverse else (ind, out)
+        self.rows, self.inverse, self.in_degrees = rows, inverse, indeg
+        self.top = top = max(indeg)
+        self.top_at = at = indeg.index(top)
+        rest = indeg.copy()
+        rest[at] = 0  # in-degrees are >= 0, so this is the largest away from top_at
+        self.second = max(rest)
 
     def n_max_at(self, x0: int) -> int:
         return self.second if x0 == self.top_at else self.top
@@ -115,21 +124,24 @@ class Certificate:
 
 def _q(view: _View, rule: Rule, x0: int) -> int:
     """Q at x0 in closed form: 2-paths into x0, or 2-step preimages of x0."""
-    preds = view.preds
+    rows = view.rows
+    preds = rows[x0] if view.inverse else compress(count(), map(contains, rows, repeat(x0)))
     if rule in _PATH_RULES:
-        return sum(map(view.in_degrees.__getitem__, preds[x0]))
-    return len(set().union(*map(preds.__getitem__, preds[x0])))
+        return sum(map(view.in_degrees.__getitem__, preds))
+    if view.inverse:
+        return len(set().union(*map(rows.__getitem__, preds)))
+    return len(rows) - sum(map(set(preds).isdisjoint, rows))  # the rows meeting preds
 
 
 def _check(view: _View, rule: Rule, x0: int, M: int, N: int, Q: int) -> Certificate:
     n_max = view.n_max_at(x0)
     hyps = {
-        "totality": all(view.succs),
-        "x0_not_fixed": x0 not in view.preds[x0],
+        "totality": all(view.out_degrees),
+        "x0_not_fixed": x0 not in view.rows[x0],
         "Q_exceeds_MN3": Q > M * N**3,
         "N_bound_holds": n_max <= N,
-        "class_membership": max(map(len, view.succs)) <= M,
-        "surjectivity_or_totality_extra": all(view.preds),
+        "class_membership": max(view.out_degrees) <= M,
+        "surjectivity_or_totality_extra": all(view.in_degrees),
     }
     failed = tuple(name for name, held in hyps.items() if not held)
     if any(name in BASE_HYPOTHESES for name in failed):
@@ -157,7 +169,7 @@ def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int] | Non
                N: int | None = None) -> list[Certificate]:
     """Certificates of one rule at each witness point, all from one view of F: by
     default at the one point that can fire (``top_at``), and at each one's minimal N."""
-    view = _View(F, rule in _INVERSE_RULES, predecessors(F))
+    view = _View(F.rows, rule in _INVERSE_RULES)
     certs = []
     for x0 in [view.top_at] if points is None else points:
         bound = N if N is not None else max(1, view.n_max_at(x0))
@@ -191,7 +203,7 @@ RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.
 
 def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
     """Smallest admissible N: the largest relevant per-point 1-count away from x0."""
-    return max(1, _View(F, rule in _INVERSE_RULES, predecessors(F)).n_max_at(x0))
+    return max(1, _View(F.rows, rule in _INVERSE_RULES).n_max_at(x0))
 
 
 def scan(F: Multifunction, M: int) -> list[Certificate]:
@@ -200,23 +212,21 @@ def scan(F: Multifunction, M: int) -> list[Certificate]:
     if M < 1:
         raise ValueError("class bound M must be positive")
     rows = F.rows
-    total = all(rows)
-    if not total and len(set().union(*rows)) < F.ground.size:
-        return []  # neither F nor its reversal is total
-    inv = predecessors(F)
-    views = {inverse: _View(F, inverse, inv)
-             for inverse, live in ((False, total), (True, all(inv))) if live}
+    degrees = out, ind = list(map(len, rows)), _in_degrees(rows)
     found = []
-    for rule in RULE_ORDER:
-        if (view := views.get(rule in _INVERSE_RULES)) is None:
-            continue
+    for inverse, rules in ((False, RULE_ORDER[:2]), (True, RULE_ORDER[2:])):
+        if not all(ind if inverse else out):
+            continue  # G is not total: F is not total (G = F) or not onto (the reversal)
+        view = _View(rows, inverse, degrees)
         x0, N = view.top_at, max(1, view.second)  # the candidate, at its minimal N
         # unfixed x0 has Q <= top * second (the lemma), which settles most views without Q
-        if (view.top * view.second <= M * N**3 or x0 in view.preds[x0]
-                or (Q := _q(view, rule, x0)) <= M * N**3):
+        if view.top * view.second <= M * N**3 or x0 in rows[x0]:
             continue
-        cert = _check(view, rule, x0, M, N, Q)
-        if not cert.fires:
-            raise RuntimeError(f"{rule.value} at {x0} holds every base hypothesis, unfired")
-        found.append(cert)
+        for rule in rules:
+            if (Q := _q(view, rule, x0)) <= M * N**3:
+                continue
+            cert = _check(view, rule, x0, M, N, Q)
+            if not cert.fires:
+                raise RuntimeError(f"{rule.value} at {x0} holds every base hypothesis, unfired")
+            found.append(cert)
     return found

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from iterroot import criteria
+from iterroot import core, criteria
 from iterroot.core import (
     GroundSet, Multifunction, identity_multifunction, invert, iterate, profile,
 )
@@ -21,7 +21,9 @@ from iterroot.criteria import (
     minimal_N,
     scan,
 )
-from iterroot.instances import f1, f2, random_multifunction
+from iterroot.instances import (
+    f1, f2, random_multifunction, random_permutation, random_single_map,
+)
 from iterroot.paths import path_matrix
 
 
@@ -333,16 +335,17 @@ def _scan_instances():
                                    density=rng.choice((0.1, 0.2, 0.4, 0.7)))
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=criteria):
     calls = []
-    original = getattr(criteria, name)
-    monkeypatch.setattr(criteria, name, lambda *a: calls.append(a) or original(*a))
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
     return calls
 
 
 def test_scan_builds_certificates_only_where_one_fires(monkeypatch):
     checks = _counting(monkeypatch, "_check")
-    inversions = _counting(monkeypatch, "predecessors")
+    # core.predecessors is the one inversion of F; invert reaches it too
+    inversions = _counting(monkeypatch, "predecessors", core)
     neither = fired = 0
     for F in _scan_instances():
         size = F.ground.size
@@ -354,7 +357,7 @@ def test_scan_builds_certificates_only_where_one_fires(monkeypatch):
             certs = scan(F, M)
             assert certs == expected
             assert len(checks) == len(certs)
-            assert len(inversions) == (0 if not (total or onto) else 1)
+            assert len(inversions) == 0
             neither += not (total or onto)
             fired += len(certs)
     assert neither > 0 and fired > 0
@@ -425,3 +428,74 @@ def test_scan_computes_one_q_per_rule_at_the_candidate(monkeypatch):
             assert all(x0 == view.top_at for view, _, x0 in qs)
             computed += len(qs)
     assert computed > 0
+
+
+# The rules read F through two degree lists and never invert it: with the
+# inversion made to raise, scan and check_rule still equal the dense oracle.
+
+def _no_inversion(monkeypatch):
+    def inverted(*args):
+        raise AssertionError("F was inverted")
+    # the name in core, which invert reads too, and any binding criteria makes of it
+    monkeypatch.setattr(core, "predecessors", inverted)
+    monkeypatch.setattr(criteria, "predecessors", inverted, raising=False)
+
+
+def _degree_view_instances():
+    for d in range(3, 6):
+        yield from (f1(d), invert(f1(d)), f2(d), invert(f2(d)))
+    one = GroundSet(("a",))
+    yield from (Multifunction.from_sets(one, [rows]) for rows in ((), (0,)))
+    rng = random.Random(20)
+    for seed in range(240):
+        F = random_multifunction(rng.randint(1, 14), seed,
+                                 max_out_degree=rng.choice((None, 1, 2, 3)),
+                                 density=rng.choice((0.1, 0.2, 0.4, 0.7)))
+        yield F
+        rows = [list(row) for row in F.rows]
+        indeg = profile(F).in_degrees
+        top_at = indeg.index(max(indeg))
+        if top_at not in rows[top_at]:  # the same ground with its top point fixed
+            rows[top_at].append(top_at)
+            yield Multifunction.from_sets(F.ground, rows)
+
+
+def test_the_degree_view_never_inverts_and_equals_the_oracle(monkeypatch):
+    cases = []
+    seen = dict.fromkeys(("tie", "fixed top", "one point", "onto only", "total only"), 0)
+    for F in _degree_view_instances():
+        size = F.ground.size
+        adjacency = path_matrix(F, 1)
+        prof = profile(F)
+        assert list(prof.in_degrees) == [sum(row[y] for row in adjacency) for y in range(size)]
+        total, onto = len(prof.domain) == size, len(prof.image) == size
+        top = max(prof.in_degrees)
+        seen["tie"] += prof.in_degrees.count(top) > 1
+        seen["fixed top"] += prof.in_degrees.index(top) in prof.fixed_membership
+        seen["one point"] += size == 1
+        seen["onto only"] += onto and not total
+        seen["total only"] += total and not onto
+        dense = {inverse: _dense_direction(F, inverse) for inverse in (False, True)}
+        cases.append((F, dense))
+    assert min(seen.values()) > 0, seen
+    _no_inversion(monkeypatch)
+    fired = 0
+    for F, dense in cases:
+        size = F.ground.size
+        for M in (1, 2, 3, 4):
+            expected = []
+            for rule in RULE_ORDER:
+                certs = [_dense_certificate(dense, rule, x0, M, _dense_minimal_N(F, rule, x0))
+                         for x0 in range(size)]
+                assert check_rule(F, rule, M, range(size)) == certs
+                expected += [cert for cert in certs if cert.fires]
+            assert scan(F, M) == expected == _rule_by_rule(F, M)
+            fired += len(expected)
+    assert fired > 0
+
+
+@pytest.mark.parametrize("make", [random_single_map, random_permutation])
+def test_scan_of_a_large_map_is_empty_without_inverting_it(monkeypatch, make):
+    F = make(200_000, 7).as_multifunction()
+    _no_inversion(monkeypatch)
+    assert scan(F, 2) == []
