@@ -27,6 +27,7 @@ def main():
     describe(ComplexPolynomial((0, 0, 0, 0, 0, 1)), 5)   # z^5 at its degree
     describe(ComplexPolynomial((0, 0, 0, 0, 1)), 2)      # z^4: silence
     describe(ComplexPolynomial((0, 1, -1, 1)), 2)        # the exceptional cubic
+    describe(ComplexPolynomial((0, 1, 2, 1e300)), 2)     # decided exactly, no overflow
 
 
 if __name__ == "__main__":

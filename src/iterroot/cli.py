@@ -206,10 +206,8 @@ def cmd_poly(args) -> int:
             excluded = {"lower_bound": f.excluded.lower_bound,
                         "forbidden_divisor_max": f.excluded.forbidden_divisor_max}
             desc = f.excluded.describe()
-        findings.append({"rule": f.rule, "citation": f.citation,
-                         "tolerance": f.tolerance, "excluded": excluded})
-        tol = f" (tolerance {f.tolerance})" if f.tolerance is not None else ""
-        lines.append(f"{f.rule}: excludes {desc}{tol} [{f.citation}]")
+        findings.append({"rule": f.rule, "citation": f.citation, "excluded": excluded})
+        lines.append(f"{f.rule}: excludes {desc} [{f.citation}]")
     if args.json:
         print(json.dumps({"degree": polynomial.degree, "order": args.order,
                           "excludes_order": advice.excludes_order(args.order),

@@ -1,20 +1,33 @@
 """Nonexistence advice for iterative roots of complex polynomials.
 
-Exact rules (degree, primality, the modular power criterion for pure power
-maps, and the count of a cubic's fixed points) use integer arithmetic only.
-The two structural rules match coefficients numerically and report the
-tolerance they used.  Advice only ever asserts nonexistence: an empty
-findings list claims nothing.
+Every rule is decided exactly on the given binary coefficients: each float
+is a dyadic rational, so the coefficients of f times one power of two S are
+Gaussian integers n_k, and the degree, primality, modular power, fixed-point
+and structural tests are integer identities in them.  A finding is thus
+sound for the polynomial whose coefficients are exactly the given floats.
+Advice only ever asserts nonexistence: an empty findings list claims nothing.
+
+The two structural rules:
+
+- Special cubic.  Scaled, f(z) - z = az^3 + bz^2 + cz + d.  A repeated fixed
+  point means f(z) - z = A(z - r)^2 (z - s) with a = SA, and then
+  b^2 - 3ac = a^2 (r - s)^2.  The map w -> r + (s - r)w conjugates f to
+  w + A(s - r)^2 (w^3 - w^2); it is the only affine map that sends the double
+  and the simple fixed point of p(z) = z^3 - z^2 + z to those of f.  So f is
+  conjugate to p exactly when A(s - r)^2 = 1, that is, b^2 - 3ac = S a.
+  A triple fixed point (r = s) gives b^2 - 3ac = 0 and so never passes.
+- Shifted monomial.  f(z) = alpha (z - beta)^d + beta forces alpha = n_d / S
+  and beta = P/Q with P = -n_{d-1} and Q = d n_d.  Matching the coefficient
+  of z^k then reads n_d C(d, k) (-P)^(d-k) = n_k Q^(d-k) for 0 < k < d - 1,
+  and n_d (-P)^d + S P Q^(d-1) = n_0 Q^d for the constant term.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .fixedpoint import OrderExclusion
-
-COEFF_REL_TOL = 1e-9
 
 
 def _finite(z: complex) -> bool:
@@ -104,7 +117,6 @@ class Finding:
     rule: str
     excluded: OrderExclusion | frozenset[int]
     citation: str
-    tolerance: float | None = None
 
     def excludes(self, n: int) -> bool:
         if isinstance(self.excluded, OrderExclusion):
@@ -125,16 +137,14 @@ class PolyAdvice:
 _ALL_ORDERS = OrderExclusion(1, None, "all-orders")
 
 
-def _fixed_point_coefficients(poly: ComplexPolynomial) -> list[tuple[int, int]]:
-    """a, b, c, d of f(z) - z = az^3 + bz^2 + cz + d for a cubic f, as Gaussian
-    integers (re, im) scaled by one power of two.  Every float is a dyadic
-    rational, so one scale makes all parts integers; each exact test on them is
-    homogeneous, so the scale cannot change whether it holds."""
+def _scaled_coefficients(poly: ComplexPolynomial) -> tuple[list[tuple[int, int]], int]:
+    """The coefficients of f times S, low degree first, as Gaussian integers
+    (re, im), and S: every float is a dyadic rational, so one power of two S
+    makes all parts integers."""
     ratios = [x.as_integer_ratio() for c in poly.coefficients for x in (c.real, c.imag)]
     scale = max(den for _, den in ratios)
     ints = [num * (scale // den) for num, den in ratios]
-    ints[2] -= scale  # the coefficient of z in f(z) - z
-    return list(zip(ints[::2], ints[1::2]))[::-1]
+    return list(zip(ints[::2], ints[1::2])), scale
 
 
 def _mul(*factors: tuple[int, int]) -> tuple[int, int]:
@@ -145,81 +155,53 @@ def _mul(*factors: tuple[int, int]) -> tuple[int, int]:
 
 
 def repeated_fixed_point(poly: ComplexPolynomial) -> bool:
-    """Whether f(z) - z of a cubic f has a repeated root, that is, whether its
-    discriminant 18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 is exactly 0."""
-    a, b, c, d = _fixed_point_coefficients(poly)
+    """Whether f(z) - z = az^3 + bz^2 + cz + d of a cubic f has a repeated root,
+    that is, whether 18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 is exactly 0."""
+    (d, c, b, a), scale = _scaled_coefficients(poly)
+    c = (c[0] - scale, c[1])
     terms = ((18, _mul(a, b, c, d)), (-4, _mul(b, b, b, d)), (1, _mul(b, b, c, c)),
              (-4, _mul(a, c, c, c)), (-27, _mul(a, a, d, d)))
     return not any(sum(k * t[part] for k, t in terms) for part in (0, 1))
 
 
-def _triple_fixed_point(poly: ComplexPolynomial) -> bool:
-    """Whether f(z) - z of a cubic f is a(z - r)^3, that is, b^2 = 3ac and bc = 9ad."""
-    a, b, c, d = _fixed_point_coefficients(poly)
-    return _mul(b, b) == _mul((3, 0), a, c) and _mul(b, c) == _mul((9, 0), a, d)
-
-
-def _coeffs_close(a: Sequence[complex], b: Sequence[complex], tol: float) -> bool:
-    """Whether |x - y| <= tol * max(1, |x|, |y|) for every pair; False unless
-    every value is finite, since inf is within tol * inf of anything."""
-    values = (*a, *b)
-    if len(a) != len(b) or not all(map(_finite, values)):
-        return False
-    # dividing by a power of two is exact, and keeps abs() of finite values finite
-    top = max((max(abs(z.real), abs(z.imag)) for z in values), default=0.0)
-    s = 2.0 ** max(0, math.frexp(top)[1] - 1)
-    return all(abs(x / s - y / s) <= tol * max(1 / s, abs(x / s), abs(y / s))
-               for x, y in zip(a, b))
-
-
-def _affine_substitute(coeffs: Sequence[complex], s: complex, t: complex) -> list[complex]:
-    """Coefficients of p(s*z + t), low degree first, by Horner's rule in
-    (s*z + t); products only, since complex ** raises OverflowError."""
-    out = [complex(coeffs[-1])]
-    for c in reversed(coeffs[:-1]):
-        out = [t * a + s * b for a, b in zip(out + [0j], [0j] + out)]
-        out[0] += c
-    return out
-
-
-def shifted_monomial_parameters(poly: ComplexPolynomial) -> tuple[complex, complex] | None:
-    """Parameters (alpha, beta) with f(z) = alpha*(z-beta)^d + beta, if any."""
-    d = poly.degree
-    if d < 2:
-        return None
-    alpha = poly.coefficients[d]
-    beta = -poly.coefficients[d - 1] / (d * alpha)
-    candidate = [alpha * c for c in _affine_substitute((0,) * d + (1,), 1, -beta)]
-    candidate[0] += beta
-    if _coeffs_close(candidate, list(poly.coefficients), COEFF_REL_TOL):
-        return alpha, beta
-    return None
-
-
 def conjugate_to_special_cubic(poly: ComplexPolynomial) -> bool:
-    """Whether a cubic equals h o p o h^-1 for a linear h and the special
-    cubic p(z) = z^3 - z^2 + z; both scale roots are tried and coefficients matched.
-
-    p has a double and a simple fixed point, so a cubic with a triple one is
-    ruled out exactly; a conjugate whose coefficients overflow cannot be told
-    apart from the cubic, so it counts: only a finite mismatch rules one out.
-    """
-    if poly.degree != 3 or _triple_fixed_point(poly):
+    """Whether a cubic f equals h o p o h^-1 for a linear h and the special
+    cubic p(z) = z^3 - z^2 + z: f has a repeated fixed point and, on the scaled
+    f(z) - z = az^3 + bz^2 + cz + d, b^2 - 3ac = S a (see the module docstring)."""
+    if poly.degree != 3:
         return False
-    import cmath  # loaded only here, so that starting the CLI does not load it
+    (_, n1, b, a), scale = _scaled_coefficients(poly)
+    # b^2 = a (3c + S) with c = n1 - S
+    return (_mul(b, b) == _mul(a, (3 * n1[0] - 2 * scale, 3 * n1[1]))
+            and repeated_fixed_point(poly))
 
-    c = poly.coefficients
-    a0 = cmath.sqrt(1 / c[3])  # leading coefficient of h o p o h^-1 is 1/a^2
-    if not a0:  # 1/c[3] underflowed to 0, so the conjugate overflows
-        return True
-    for a in (a0, -a0):
-        b = (-1 / a - c[2]) / (3 * c[3])
-        # conjugate p by h(z) = a z + b: a p((z - b)/a) + b, expanded in z
-        q = [a * x for x in _affine_substitute((0, 1, -1, 1), 1 / a, -b / a)]
-        q[0] += b
-        if not all(map(_finite, q)) or _coeffs_close(q, c, COEFF_REL_TOL):
-            return True
-    return False
+
+def is_shifted_monomial(poly: ComplexPolynomial) -> bool:
+    """Whether f(z) = alpha (z - beta)^d + beta for some alpha and beta, d >= 2.
+
+    The powers grow by one factor per coefficient, from z^(d-2) down, and the
+    first mismatch ends the test (see the module docstring).  When beta = 0
+    every test reads n_k = 0, which is checked without the powers.
+    """
+    n, scale = _scaled_coefficients(poly)
+    d = len(n) - 1
+    if d < 2:
+        return False
+    sub, q = n[d - 1], _mul((d, 0), n[d])  # -P and Q, with beta = P/Q
+    if sub == (0, 0):  # beta = 0, so f must be alpha z^d; this spares Q's powers
+        return not any(map(any, n[:d - 1]))
+    # n_d (-P)^(d-k), Q^(d-k) and C(d, k), at k = d - 1
+    left, right, binom = _mul(n[d], sub), q, d
+    for k in range(d - 2, -1, -1):
+        last = right
+        left, right, binom = _mul(left, sub), _mul(right, q), binom * (k + 1) // (d - k)
+        want = (binom * left[0], binom * left[1])
+        if k == 0:  # the constant term gains S P Q^(d-1)
+            shift = _mul((scale, 0), sub, last)
+            want = (want[0] - shift[0], want[1] - shift[1])
+        if want != _mul(n[k], right):
+            return False
+    return True
 
 
 def advise(poly: ComplexPolynomial, n: int) -> PolyAdvice:
@@ -250,8 +232,7 @@ def advise(poly: ComplexPolynomial, n: int) -> PolyAdvice:
     if d == 3 and repeated_fixed_point(poly) and not conjugate_to_special_cubic(poly):
         findings.append(Finding(
             "CubicSpecial", _ALL_ORDERS,
-            "Choczewski & Kuczma 1992, Thm. 6",
-            tolerance=COEFF_REL_TOL))
+            "Choczewski & Kuczma 1992, Thm. 6"))
 
     if n > d * (d - 1):
         findings.append(Finding(
@@ -263,10 +244,9 @@ def advise(poly: ComplexPolynomial, n: int) -> PolyAdvice:
             "PrimeOrder", frozenset({n}),
             "Choczewski & Kuczma 1992, Thm. 1"))
 
-    if is_prime(d) and shifted_monomial_parameters(poly) is not None:
+    if is_prime(d) and is_shifted_monomial(poly):
         findings.append(Finding(
             "ShiftedMonomialPrime", frozenset({d}),
-            "non-isolated fixed-point divisibility rule",
-            tolerance=COEFF_REL_TOL))
+            "non-isolated fixed-point divisibility rule"))
 
     return PolyAdvice(poly, n, tuple(findings))

@@ -356,8 +356,9 @@ def test_poly_non_finite_coefficient_is_input_error(capsys, coeffs):
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
 def test_poly_root_finder_overflow_keeps_exact_findings(capsys, json_flag):
-    # the conjugacy test of 1e-320 z^3 + 2 z^2 + z overflows; only CubicSpecial
-    # reads it, so it alone abstains and PrimeOrder still excludes 5
+    # a numeric root finder overflows on 1e-320 z^3 + 2 z^2 + z; the exact rules
+    # read no roots: the double fixed point 0 backs CubicSpecial, and PrimeOrder
+    # excludes 5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "poly", "--coeffs", "0,1,2,1e-320", "--order", "5",
@@ -366,10 +367,11 @@ def test_poly_root_finder_overflow_keeps_exact_findings(capsys, json_flag):
     if json_flag:
         payload = json.loads(out)
         assert payload["excludes_order"] is True
-        assert [f["rule"] for f in payload["findings"]] == ["PrimeOrder"]
-        assert payload["findings"][0]["excluded"] == {"orders": [5]}
+        assert [f["rule"] for f in payload["findings"]] == ["CubicSpecial", "PrimeOrder"]
+        assert payload["findings"][1]["excluded"] == {"orders": [5]}
     else:
-        assert out == ("PrimeOrder: excludes orders 5 [Choczewski & Kuczma 1992, Thm. 1]\n"
+        assert out == ("CubicSpecial: excludes all orders n > 1 [Choczewski & Kuczma 1992, Thm. 6]\n"
+                       "PrimeOrder: excludes orders 5 [Choczewski & Kuczma 1992, Thm. 1]\n"
                        "order 5 excluded: True\n")
 
 
@@ -381,8 +383,8 @@ def test_poly_root_finder_overflow_keeps_exact_findings(capsys, json_flag):
 ])
 def test_poly_cubic_special_counts_fixed_points_exactly(capsys, coeffs, fires):
     code, out, err = run(capsys, "poly", f"--coeffs={coeffs}", "--order", "2")
-    finding = ("CubicSpecial: excludes all orders n > 1 (tolerance 1e-09) "
-               "[Choczewski & Kuczma 1992, Thm. 6]" if fires else "no finding; nothing is asserted")
+    finding = ("CubicSpecial: excludes all orders n > 1 [Choczewski & Kuczma 1992, Thm. 6]"
+               if fires else "no finding; nothing is asserted")
     assert (code, out, err) == (0, f"{finding}\norder 2 excluded: {fires}\n", "")
     code, out, err = run(capsys, "poly", f"--coeffs={coeffs}", "--order", "2", "--json")
     assert (code, err) == (0, "")
@@ -390,17 +392,24 @@ def test_poly_cubic_special_counts_fixed_points_exactly(capsys, coeffs, fires):
     assert payload["excludes_order"] is fires
     assert payload["findings"] == ([{
         "citation": "Choczewski & Kuczma 1992, Thm. 6", "rule": "CubicSpecial",
-        "tolerance": 1e-09,
         "excluded": {"lower_bound": 1, "forbidden_divisor_max": None}}] if fires else [])
 
 
 def test_poly_overflowing_cubic_asserts_nothing(capsys):
-    # the conjugacy test of the cubic overflows, so it cannot back a finding
+    # h o p o h^-1 for this cubic has coefficients beyond the float range, but
+    # the exact test decides it: z + 1e300 z^2 (z + 2e-300) is no conjugate of
+    # z^3 - z^2 + z, so CubicSpecial fires; z + (z - 10^5)^3 is no shifted
+    # monomial, so ShiftedMonomialPrime does not fire at its order 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "poly", "--coeffs", "0,1,2,1e300", "--order", "2")
+        assert (code, err) == (0, "")
+        assert out == ("CubicSpecial: excludes all orders n > 1 [Choczewski & Kuczma 1992, Thm. 6]\n"
+                       "order 2 excluded: True\n")
+        code, out, err = run(capsys, "poly", "--coeffs=-1e15,30000000001,-300000,1",
+                             "--order", "3")
     assert (code, err) == (0, "")
-    assert out == "no finding; nothing is asserted\norder 2 excluded: False\n"
+    assert "ShiftedMonomialPrime" not in out and out.startswith("CubicSpecial")
 
 
 def _run_quietly(argv):

@@ -320,7 +320,7 @@ POLY_Z3_ORDER_7 = """\
 Solar: excludes all orders n > 1 [Solarz 1976; list in Riesel 1964]
 RiceDegree: excludes all orders n > 6 [Rice, Schweizer & Sklar 1980, Thm. 4]
 PrimeOrder: excludes orders 7 [Choczewski & Kuczma 1992, Thm. 1]
-ShiftedMonomialPrime: excludes orders 3 (tolerance 1e-09) [non-isolated fixed-point divisibility rule]
+ShiftedMonomialPrime: excludes orders 3 [non-isolated fixed-point divisibility rule]
 order 7 excluded: True
 """
 
@@ -335,8 +335,7 @@ POLY_Z3_ORDER_7_JSON = """\
         "forbidden_divisor_max": null,
         "lower_bound": 1
       },
-      "rule": "Solar",
-      "tolerance": null
+      "rule": "Solar"
     },
     {
       "citation": "Rice, Schweizer & Sklar 1980, Thm. 4",
@@ -344,8 +343,7 @@ POLY_Z3_ORDER_7_JSON = """\
         "forbidden_divisor_max": null,
         "lower_bound": 6
       },
-      "rule": "RiceDegree",
-      "tolerance": null
+      "rule": "RiceDegree"
     },
     {
       "citation": "Choczewski & Kuczma 1992, Thm. 1",
@@ -354,8 +352,7 @@ POLY_Z3_ORDER_7_JSON = """\
           7
         ]
       },
-      "rule": "PrimeOrder",
-      "tolerance": null
+      "rule": "PrimeOrder"
     },
     {
       "citation": "non-isolated fixed-point divisibility rule",
@@ -364,8 +361,7 @@ POLY_Z3_ORDER_7_JSON = """\
           3
         ]
       },
-      "rule": "ShiftedMonomialPrime",
-      "tolerance": 1e-09
+      "rule": "ShiftedMonomialPrime"
     }
   ],
   "order": 7
