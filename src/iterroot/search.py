@@ -21,15 +21,18 @@ newly decided point i, so at depth i only these are re-checked:
   once per depth: the points that first meet i after k steps must all have
   the same f-image, which is then where step n - k of the walk from i must
   end, as f(i) is for step n.  These levels are disjoint sets of earlier
-  points, so a depth keeps at most i + 1 endpoint checks, and each value is
-  checked by one forward walk from i that tests only those steps.
+  points, so a depth keeps one list of at most i + 1 ends, indexed by step.
+  A one-point level {x}, the common case, costs one lookup: its end is f(x),
+  and the next level is the points that map to x.  Each value is checked by
+  one forward walk from i that tests only the steps in the list.
 
 No walk runs for n steps when n is large.  A single-map walk from i through
 the i + 1 decided points that has made more than i steps has repeated a
-point, so it is on its cycle, and every later check step is read off the
-cycle by its index.  Once n exceeds the ground size, the multi-map orbit
-walk, a sequence of sets, stops at its first repeated set and reads step n
-off the cycle.  What a node costs is thus bounded by the ground, not by n.
+point, so it is on its cycle, which gives the lowest checked step by its
+index; at most i checked steps follow.  Once n exceeds the ground size, the
+multi-map orbit walk, a sequence of sets, stops at its first repeated set
+and reads step n off the cycle.  What a node costs is thus bounded by the
+ground, not by n.
 
 A node is one candidate image tried at one point, counted whether or not
 commutation allows it; the single-map search counts the values it excludes
@@ -38,6 +41,7 @@ a full re-check of every decided point at every node would explore.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -116,11 +120,15 @@ def _candidates(size: int, constraint: RootConstraint):
 
 def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstraint | None,
             budget: int, max_points: int | None, engine) -> SearchResult:
-    """Check the request, then run ``engine()``, which returns ``(witness or None,
-    nodes)`` or raises _BudgetExceeded on node ``budget + 1``; a witness is
-    checked by iterating it, apart from the engine's incremental checks.  The
+    """Check the request, then run ``engine(n, budget)``, which returns ``(witness
+    or None, nodes)`` or raises _BudgetExceeded on node ``budget + 1``; a witness
+    is checked by iterating it, apart from the engine's incremental checks.  The
     engines recurse once per point, so a ground deeper than the caller's stack
     allows is refused when the recursion overflows, not by a fixed size."""
+    try:
+        n, budget = operator.index(n), operator.index(budget)
+    except TypeError:
+        raise ValueError(f"root order {n!r} and budget {budget!r} must be integers") from None
     if n < 2:
         raise ValueError("root order must be at least 2")
     if budget <= 0:
@@ -130,7 +138,7 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
         raise ValueError(f"ground of {size} points exceeds max_points={max_points}")
     start = time.perf_counter()
     try:
-        witness, nodes = engine()
+        witness, nodes = engine(n, budget)
     except _BudgetExceeded:
         return SearchResult(n, constraint, "budget", None, budget + 1, budget,
                             time.perf_counter() - start)
@@ -150,14 +158,14 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
     budget bounds memory too, as candidate images are built only as far as the
     depths read them, at most ``budget + 1``."""
     return _search(F, n, constraint, budget, max_points,
-                   lambda: _multi_engine(F, n, constraint, budget))
+                   lambda n, b: _multi_engine(F, n, constraint, b))
 
 
 def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
                      max_points: int | None = None) -> SearchResult:
     """Search for a total map g with g^n = f, in canonical value order; either
     finder refuses a ground by its size only when ``max_points`` is given."""
-    return _search(f, n, None, budget, max_points, lambda: _single_engine(f, n, budget))
+    return _search(f, n, None, budget, max_points, lambda n, b: _single_engine(f, n, b))
 
 
 def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
@@ -285,6 +293,7 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
     early = [tuple(x for x in row if x < v) for v, row in enumerate(inverse.rows)]
     fixed = sum(1 << x for x in range(size) if fv[x] == x)
     full = (1 << size) - 1
+    levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
 
     g = [0] * size
     preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
@@ -307,26 +316,32 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             allowed &= fixed
         last = -1  # every value v counts as a node, visited or not
         if allowed:
-            # checks: the (j, e) pairs, by increasing j, where step j of the walk
-            # from i must end at e.  Step n ends at f(i).  An earlier point whose
-            # walk first meets i after k steps has a complete orbit iff the walk
-            # from i takes n - k steps, and then it must end at the one f-image of
-            # level k (-1, which no walk reaches, when level k has several images).
-            # The levels are disjoint sets of earlier points, so there are at most i.
-            checks = [(n, fi)]
-            level = bit
-            for k in range(1, n):
-                m, level = level, 0
-                while m:
-                    low = m & -m
-                    level |= preds[low.bit_length() - 1]
-                    m ^= low
+            # ends[n - j] is where step j of the walk from i must end; step n ends
+            # at f(i).  An earlier point whose walk first meets i after k steps has
+            # a complete orbit iff the walk from i takes n - k steps, and then it
+            # must end at the one f-image of level k (-1, which no walk reaches,
+            # when level k has several images).  The levels are disjoint sets of
+            # earlier points, so there are at most i, and a one-point level {x}
+            # ends at f(x) and leads to the level preds[x].
+            ends = [fi]
+            level, x = bit, i  # x: the least point of the level
+            for _ in levels:
+                if level & (level - 1):
+                    m, level = level, 0
+                    while m:
+                        low = m & -m
+                        level |= preds[low.bit_length() - 1]
+                        m ^= low
+                else:
+                    level = preds[x]
                 if not level:
                     break
-                y = fv[(level & -level).bit_length() - 1]
-                checks.append((n - k, -1 if level & ~fpreds[y] else y))
-            checks.reverse()
-            cycle_of = -1  # the value whose walk from i has its cycle in ``cycle``
+                low = level & -level
+                x = low.bit_length() - 1
+                y = fv[x]
+                ends.append(y if level == low or not level & ~fpreds[y] else -1)
+            top = len(ends) - 1
+            lo = n - top  # the lowest checked step
             m = allowed
             while m:
                 low = m & -m
@@ -338,29 +353,30 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                     raise _BudgetExceeded
                 g[i] = cur = v
                 s = 1  # cur is where step s of the walk from i ends
-                for step, end in checks:
-                    while s < step and cur <= i:  # the walk goes through decided points only
-                        if s > i:
-                            # s + 1 visits to the i + 1 decided points repeat one, so
-                            # cur lies on the walk's cycle, which gives every later step
-                            if cycle_of != v:
-                                cycle, cycle_of, base, y = [cur], v, s, g[cur]
-                                while y != cur:
-                                    cycle.append(y)
-                                    y = g[y]
-                            cur, s = cycle[(step - base) % len(cycle)], step
-                            break
-                        cur = g[cur]
-                        s += 1
-                    if s < step:
-                        continue  # the walk left the decided points: no orbit from here is complete
-                    if cur != end:
+                while s < lo and cur <= i:  # the walk goes through decided points only
+                    if s > i:
+                        # s + 1 visits to the i + 1 decided points repeat one, so
+                        # cur lies on the walk's cycle, which gives step lo
+                        cycle, y = [cur], g[cur]
+                        while y != cur:
+                            cycle.append(y)
+                            y = g[y]
+                        cur, s = cycle[(lo - s) % len(cycle)], lo
                         break
-                else:
-                    preds[v] |= bit
-                    if rec(i + 1):
-                        return True
-                    preds[v] ^= bit
+                    cur = g[cur]
+                    s += 1
+                if s == lo:  # else the walk left the decided points: no orbit is complete
+                    # step n - t for t = top, ..., 0, until the walk leaves them
+                    t = top
+                    while cur == ends[t] and t and cur <= i:
+                        cur = g[cur]
+                        t -= 1
+                    if cur != ends[t]:
+                        continue
+                preds[v] |= bit
+                if rec(i + 1):
+                    return True
+                preds[v] ^= bit
         nodes += size - 1 - last
         if nodes > budget:
             raise _BudgetExceeded

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import json
@@ -437,8 +438,9 @@ def _reference_multi(F, n, constraint, budget=DEFAULT_BUDGET):
     return ("witness", nodes, tuple(imgs)) if found else ("exhausted", nodes, None)
 
 
-def _reference_single(f, n, budget=DEFAULT_BUDGET):
-    """(outcome, nodes, witness image) of the full-rescan single-map searcher."""
+def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None):
+    """(outcome, nodes, witness image) of the full-rescan single-map searcher;
+    ``visit(g, i)`` is called at each depth i < size that the search reaches."""
     size = f.ground.size
     g = [0] * size
     nodes = 0
@@ -447,6 +449,8 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET):
         nonlocal nodes
         if i == size:
             return True
+        if visit is not None:
+            visit(g, i)
         for v in range(size):
             nodes += 1
             if nodes > budget:
@@ -461,6 +465,44 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET):
     except _ReferenceBudgetExceeded:
         return "budget", nodes, None
     return ("witness", nodes, tuple(g)) if found else ("exhausted", nodes, None)
+
+
+def _single_cases(fv, n, cases):
+    """A ``visit`` for _reference_single that tallies, in ``cases``, the shapes
+    the single-map engine's checks take at a depth where commutation allows
+    some value: the levels of its reverse walk from i (the earlier points whose
+    walk first meets i after k steps, for k < n) by their f-images, and the
+    allowed values whose walk from i makes i + 1 steps through decided points
+    before the lowest checked step, so that it jumps onto its cycle."""
+    def visit(g, i):
+        def commutes(v):
+            h = g[:i] + [v]
+            return all(fv[h[x]] == h[fv[x]] for x in range(i + 1) if fv[x] <= i)
+
+        allowed = [v for v in range(len(fv)) if commutes(v)]
+        if not allowed:
+            return
+        level, checked = {i}, 1
+        for _ in range(1, n):
+            level = {x for x in range(i) if g[x] in level}
+            if not level:
+                break
+            checked += 1
+            if len(level) == 1:
+                cases["one point"] += 1
+            elif len({fv[x] for x in level}) == 1:
+                cases["one f-image"] += 1
+            else:
+                cases["several f-images"] += 1
+        lowest = n + 1 - checked
+        for v in allowed:
+            walk, cur = [v], v
+            while len(walk) <= i and cur <= i:
+                cur = v if cur == i else g[cur]
+                walk.append(cur)
+            if i + 1 < lowest and all(x <= i for x in walk):
+                cases["cycle jump"] += 1
+    return visit
 
 
 def _summary(result, kind):
@@ -489,8 +531,10 @@ def test_single_search_matches_the_reference_at_every_budget():
     # bulk, so an off-by-one there shows only at the budget it would cross;
     # budget b ends at node b + 1, and b = nodes + 1 lets the search finish.
     # Seven points would need 1,000-5,000 nodes, and a sweep over every
-    # budget costs the square of that.
+    # budget costs the square of that.  The maps must meet every shape of
+    # check the engine has a branch for.
     rng = random.Random(20261019)
+    cases = collections.Counter()
     for trial in range(40):
         size = rng.randint(3, 6)
         n = rng.randint(2, 4)
@@ -501,10 +545,11 @@ def test_single_search_matches_the_reference_at_every_budget():
             for x in rng.sample(range(size), 2):
                 image[x] = x
             f = SingleMap(f.ground, tuple(image))
-        nodes = _reference_single(f, n)[1]
+        nodes = _reference_single(f, n, visit=_single_cases(f.image, n, cases))[1]
         for budget in range(1, nodes + 2):
             got = _summary(find_single_root(f, n, budget=budget), "single")
             assert got == _reference_single(f, n, budget), (f.image, n, budget)
+    assert set(cases) == {"one point", "one f-image", "several f-images", "cycle jump"}, cases
 
 
 def test_incremental_multi_search_explores_the_reference_nodes():
@@ -563,6 +608,36 @@ def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
     else:
         result = find_multi_root(target, n, constraint, max_points=size)
     assert (result.outcome, result.nodes_explored) == (outcome, nodes)
+
+
+@pytest.mark.parametrize("modulus, variant, exponent, n, outcome, nodes, witness", [
+    (13, "add", 3, 4, "witness", 28_990, (4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3)),
+    (14, "add", 7, 3, "witness", 14_287, (1, 2, 7, 4, 5, 10, 13, 8, 9, 0, 11, 12, 3, 6)),
+    (15, "add", 2, 4, "witness", 11_055, (8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 5, 6, 7)),
+    (13, "mul", 2, 3, "exhausted", 21_515, None),
+    (15, "mul", 2, 2, "exhausted", 26_085, None),
+    (16, "add", 5, 3, "budget", 30_001, None),
+])
+def test_bench_cyclic_requests_keep_their_nodes_and_witnesses(modulus, variant, exponent, n,
+                                                             outcome, nodes, witness):
+    # six of the search workload's cyclic requests at its 30,000-node budget, so
+    # a change in the single-map search's nodes fails here and not only in the
+    # digest of a benchmark pass
+    f = cyclic_power(modulus, exponent, variant)
+    result = find_single_root(f, n, budget=30_000, max_points=modulus)
+    assert _summary(result, "single") == (outcome, nodes, witness)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: find_single_root(_FOUR_CYCLE, 2, budget=float("inf")),
+    lambda: find_multi_root(_FOUR_CYCLE.as_multifunction(), 2, budget=float("inf")),
+    lambda: find_single_root(_FOUR_CYCLE, 3.0),
+], ids=["single-budget-inf", "multi-budget-inf", "single-order-float"])
+def test_a_non_integer_order_or_budget_is_refused(run):
+    # an infinite budget would lift the node bound, and a float order would
+    # fail deep inside the engine
+    with pytest.raises(ValueError, match="must be integers"):
+        run()
 
 
 def test_walks_cut_at_their_first_repeat_match_the_references():
