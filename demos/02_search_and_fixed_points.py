@@ -24,8 +24,8 @@ def main():
     print(f"search order 4: {result.outcome} after {result.nodes_explored} "
           f"nodes in {result.elapsed:.2f}s")
 
-    print(f"tail-mass exclusion: {rice_exclusion(f)}")
-    print(f"non-isolated exclusion: {non_isolated_exclusion(f)}")
+    print(f"tail-mass exclusion: {rice_exclusion(f).describe()}")
+    print(f"non-isolated exclusion: {non_isolated_exclusion(f).describe()}")
     exclusion = non_isolated_exclusion(f)
     for n in (2, 4, 5, 7):
         print(f"  order {n} excluded: {exclusion.excludes(n)}")

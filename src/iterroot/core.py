@@ -13,9 +13,22 @@ inputs.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from typing import Iterable, Iterator, Sequence
+
+
+def _count(value, least: int, message: str) -> int:
+    """``value`` as an int, when it is an integer of at least ``least``; otherwise
+    ValueError(message), and a non-integer's message also says so."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}; counts must be integers, got {value!r}") from None
+    if value < least:
+        raise ValueError(message)
+    return value
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -220,8 +233,7 @@ def iterate(F: Multifunction | SingleMap, n: int) -> Multifunction | SingleMap:
     multiply is ``compose(base, result)``, which unions over the lower power
     accumulated so far rather than over ``base = F^(2^k)``.
     """
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
+    n = _count(n, 0, "iteration count must be nonnegative")
     result = (identity_map if isinstance(F, SingleMap) else identity_multifunction)(F.ground)
     base = F
     while n:

@@ -37,7 +37,7 @@ from itertools import compress, count, repeat
 from operator import contains
 from typing import Iterable
 
-from .core import Multifunction, _in_degrees
+from .core import Multifunction, _count, _in_degrees
 
 
 class Rule(str, Enum):
@@ -161,8 +161,8 @@ def _check(view: _View, rule: Rule, x0: int, M: int, N: int, Q: int) -> Certific
 def _validate(F: Multifunction, x0: int, M: int, N: int) -> None:
     if not 0 <= x0 < F.ground.size:
         raise ValueError(f"witness point {x0} out of range")
-    if M < 1 or N < 1:
-        raise ValueError("bounds M and N must be positive")
+    _count(M, 1, "bounds M and N must be positive")
+    _count(N, 1, "bounds M and N must be positive")
 
 
 def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int] | None = None,
@@ -209,8 +209,7 @@ def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
 def scan(F: Multifunction, M: int) -> list[Certificate]:
     """All firing certificates for the class bound M, in rule order, at each rule's
     one candidate witness ``top_at`` and its minimal N."""
-    if M < 1:
-        raise ValueError("class bound M must be positive")
+    M = _count(M, 1, "class bound M must be positive")
     rows = F.rows
     degrees = out, ind = list(map(len, rows)), _in_degrees(rows)
     found = []

@@ -30,7 +30,7 @@ class FixedPointProfile:
         """Exclude orders above the total tail mass, when some tail point has a preimage."""
         if not any(self.tail_preimage_nonempty.values()):
             return None
-        return OrderExclusion(self.total_tail_size, None, "tail-mass")
+        return OrderExclusion(self.total_tail_size, None)
 
     def non_isolated_exclusion(self) -> OrderExclusion | None:
         """Exclude orders above the largest tail size that are coprime to every
@@ -43,7 +43,7 @@ class FixedPointProfile:
         if k < 2 or not all(self.tail_preimage_nonempty.values()):
             return None
         l = max(len(self.tails[x]) for x in self.non_isolated)
-        return OrderExclusion(l, k, "non-isolated-count")
+        return OrderExclusion(l, k)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class OrderExclusion:
 
     lower_bound: int
     forbidden_divisor_max: int | None
-    source_rule: str
 
     def excludes(self, n: int) -> bool:
         if n <= self.lower_bound:

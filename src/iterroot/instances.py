@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 
-from .core import GroundSet, Multifunction, SingleMap
+from .core import GroundSet, Multifunction, SingleMap, _count
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ def f1(depth: int = 3) -> Multifunction:
     """Hub with four in-routes fed pairwise by two branching points, plus a
     forward cycle; fires the forward path rule with M=2, N=1 but leaves the
     two-step preimage of the hub at exactly two points."""
-    if depth < 3:
-        raise ValueError("depth must be at least 3")
+    depth = _count(depth, 3, "depth must be at least 3")
     labels = [f"x{i}" for i in range(depth + 1)]
     labels += [f"x-1.{j}" for j in range(1, 5)]
     for i in range(2, depth + 1):
@@ -61,8 +60,7 @@ def f2(depth: int = 3) -> Multifunction:
     """Hub branching into two forward chains with three in-routes and three
     backward chains; closed so the domain and image are both the whole set
     and every out-degree stays at most two."""
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
+    depth = _count(depth, 2, "depth must be at least 2")
     labels = ["x0"]
     for i in range(1, depth + 1):
         labels += [f"x{i}.1", f"x{i}.2"]
@@ -114,8 +112,7 @@ def fig67() -> tuple[SingleMap, SingleMap]:
 
 def cyclic_power(modulus: int, exponent: int, variant: str = "add") -> SingleMap:
     """Residue arithmetic maps: translation by e or multiplication by e mod q."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
+    modulus = _count(modulus, 1, "modulus must be positive")
     if variant not in ("add", "mul"):
         raise ValueError("variant must be 'add' or 'mul'")
     ground = GroundSet(tuple(str(i) for i in range(modulus)))
@@ -134,8 +131,9 @@ def random_multifunction(size: int, seed: int, max_out_degree: int | None = None
                          density: float = 0.5) -> Multifunction:
     if not 0 <= density <= 1:  # nan fails too
         raise ValueError(f"density must be in [0, 1], got {density}")
-    if max_out_degree is not None and max_out_degree < 0:
-        raise ValueError(f"max_out_degree must be nonnegative, got {max_out_degree}")
+    if max_out_degree is not None:
+        max_out_degree = _count(max_out_degree, 0,
+                                f"max_out_degree must be nonnegative, got {max_out_degree}")
     rng = random.Random(seed)
     images = []
     for _ in range(size):

@@ -28,17 +28,14 @@ class ParseError(ValueError):
 
 def parse(text: str) -> Multifunction | SingleMap:
     ground: GroundSet | None = None
-    kind_single = False
-    kind_line = 0
-    targets: list[list[int]] = []
-    seen_sources: set[int] = set()
+    kind_line = 0  # the line of ``kind single``, 0 for a multifunction
+    targets: list[list[int] | None] = []  # None until the source's line
     index: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if ground is None:
             if tokens[0] != "points":
                 raise ParseError("expected a 'points' declaration", lineno)
@@ -50,34 +47,29 @@ def parse(text: str) -> Multifunction | SingleMap:
                     raise ParseError(f"duplicate label {lab}", lineno)
                 index[lab] = len(index)
             ground = GroundSet(tuple(labels))
-            targets = [[]] * ground.size
+            targets = [None] * ground.size
             continue
         if tokens == ["kind", "single"]:
-            kind_single = True
             kind_line = lineno
             continue
         if len(tokens) < 2 or tokens[1] != "->":
             raise ParseError("expected '<label> -> <label>*'", lineno)
         src = tokens[0]
-        if src not in index:
-            raise ParseError(f"undeclared label {src}", lineno)
-        s = index[src]
-        if s in seen_sources:
-            raise ParseError(f"duplicate source line for {src}", lineno)
-        seen_sources.add(s)
-        t = []
-        for lab in tokens[2:]:
-            if lab not in index:
-                raise ParseError(f"undeclared label {lab}", lineno)
-            t.append(index[lab])
-        if kind_single and len(set(t)) != 1:
+        try:
+            s = index[src]
+            if targets[s] is not None:
+                raise ParseError(f"duplicate source line for {src}", lineno)
+            t = [index[lab] for lab in tokens[2:]]
+        except KeyError as exc:
+            raise ParseError(f"undeclared label {exc.args[0]}", lineno) from None
+        if kind_line and len(set(t)) != 1:
             raise ParseError(f"single map needs exactly one target for {src}", lineno)
         targets[s] = t
 
     if ground is None:
         raise ParseError("expected a 'points' declaration", 1)
-    if not kind_single:
-        return Multifunction.from_sets(ground, targets)
+    if not kind_line:
+        return Multifunction.from_sets(ground, [t or () for t in targets])
     for x, t in enumerate(targets):
         if not t:
             raise ParseError(f"single map missing image for {ground.labels[x]}", kind_line)

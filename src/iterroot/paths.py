@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Multifunction
+from .core import Multifunction, _count
 
 Matrix = list[list[int]]
 
@@ -36,8 +36,7 @@ def path_matrix(F: Multifunction, k: int) -> tuple[tuple[int, ...], ...]:
     """The k-th power of the 0/1 adjacency matrix of F, whose row x, entry y counts
     the k-paths from x to y, by binary exponentiation from the adjacency matrix
     itself: k = 2 costs one product, and k = 0 gives the identity."""
-    if k < 0:
-        raise ValueError("path length must be nonnegative")
+    k = _count(k, 0, "path length must be nonnegative")
     M = _identity(F.ground.size) if k == 0 else None
     A = _adjacency(F)
     e = k
@@ -55,8 +54,7 @@ def count_paths(F: Multifunction, from_points: Iterable[int], to_points: Iterabl
 
     A point listed twice in either set counts twice.
     """
-    if k < 1:
-        raise ValueError("set-to-set path counting requires length at least 1")
+    k = _count(k, 1, "set-to-set path counting requires length at least 1")
     successors = F.rows
     row = [0] * F.ground.size
     for x in from_points:

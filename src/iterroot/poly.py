@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .core import _count
 from .fixedpoint import OrderExclusion
 
 
@@ -89,15 +90,13 @@ def _solar(d: int, primes: Iterable[int]) -> bool:
 
 def solar_criterion(d: int) -> bool:
     """True iff d^p and d differ modulo p^2 for every prime p <= d."""
-    if d < 2:
-        raise ValueError("degree must be at least 2")
+    d = _count(d, 2, "degree must be at least 2")
     return _solar(d, primes_upto(d))
 
 
 def first_solar(count: int) -> list[int]:
     """The first ``count`` degrees (ascending, starting at 2) passing the criterion."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = _count(count, 1, "count must be positive")
     found: list[int] = []
     primes: list[int] = []  # the primes <= d, grown with d
     d = 2
@@ -134,7 +133,7 @@ class PolyAdvice:
         return any(f.excludes(n) for f in self.findings)
 
 
-_ALL_ORDERS = OrderExclusion(1, None, "all-orders")
+_ALL_ORDERS = OrderExclusion(1, None)
 
 
 def _scaled_coefficients(poly: ComplexPolynomial) -> tuple[list[tuple[int, int]], int]:
@@ -212,11 +211,8 @@ def advise(poly: ComplexPolynomial, n: int) -> PolyAdvice:
     order-specific rules fire only when they cover n (except the shifted
     monomial rule, which always reports its excluded order).
     """
-    if n < 2:
-        raise ValueError("root order must be at least 2")
-    d = poly.degree
-    if d < 2:
-        raise ValueError("polynomial degree must be at least 2")
+    n = _count(n, 2, "root order must be at least 2")
+    d = _count(poly.degree, 2, "polynomial degree must be at least 2")
     findings: list[Finding] = []
 
     if d == 2:
@@ -236,7 +232,7 @@ def advise(poly: ComplexPolynomial, n: int) -> PolyAdvice:
 
     if n > d * (d - 1):
         findings.append(Finding(
-            "RiceDegree", OrderExclusion(d * (d - 1), None, "degree-bound"),
+            "RiceDegree", OrderExclusion(d * (d - 1), None),
             "Rice, Schweizer & Sklar 1980, Thm. 4"))
 
     if is_prime(n) and n > d:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import Multifunction, SingleMap, compose, invert, iterate
+from .core import Multifunction, SingleMap, _count, compose, invert, iterate
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
@@ -105,8 +105,7 @@ def transfer_root(f: SingleMap, g: SingleMap, n: int) -> TransferReport:
     """Compare g^n = f with (pullback g)^n = pullback f; the two must agree."""
     if f.ground != g.ground:
         raise ValueError("maps must share a ground set")
-    if n < 2:
-        raise ValueError("root order must be at least 2")
+    n = _count(n, 2, "root order must be at least 2")
     if set(f.image) != set(range(f.ground.size)):
         return TransferReport(False)
     map_side = iterate(g, n) == f

@@ -41,12 +41,11 @@ a full re-check of every decided point at every node would explore.
 """
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .core import Multifunction, SingleMap, bits, invert, iterate, union_of
+from .core import Multifunction, SingleMap, _count, bits, invert, iterate, union_of
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -66,8 +65,9 @@ class RootConstraint:
     def __post_init__(self) -> None:
         if self.variant not in (UNCONSTRAINED_VARIANT, MAX_OUT_VARIANT, MAX_IN_VARIANT):
             raise ValueError(f"unknown constraint variant {self.variant!r}")
-        if self.variant != UNCONSTRAINED_VARIANT and (self.bound is None or self.bound < 1):
-            raise ValueError("degree-bounded constraints need a positive bound")
+        if self.variant != UNCONSTRAINED_VARIANT:
+            object.__setattr__(self, "bound", _count(
+                self.bound, 1, "degree-bounded constraints need a positive bound"))
 
 
 UNCONSTRAINED = RootConstraint()
@@ -125,14 +125,8 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
     is checked by iterating it, apart from the engine's incremental checks.  The
     engines recurse once per point, so a ground deeper than the caller's stack
     allows is refused when the recursion overflows, not by a fixed size."""
-    try:
-        n, budget = operator.index(n), operator.index(budget)
-    except TypeError:
-        raise ValueError(f"root order {n!r} and budget {budget!r} must be integers") from None
-    if n < 2:
-        raise ValueError("root order must be at least 2")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    n = _count(n, 2, "root order must be at least 2")
+    budget = _count(budget, 1, "budget must be positive")
     size = target.ground.size
     if max_points is not None and size > max_points:
         raise ValueError(f"ground of {size} points exceeds max_points={max_points}")

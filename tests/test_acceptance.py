@@ -182,9 +182,9 @@ def test_criterion_07_pullback_square_root_correspondence():
 
 def test_criterion_08_fixed_point_order_exclusions():
     f, _ = fig67()
-    assert rice_exclusion(f) == OrderExclusion(8, None, "tail-mass")
+    assert rice_exclusion(f) == OrderExclusion(8, None)
     non_iso = non_isolated_exclusion(f)
-    assert non_iso == OrderExclusion(2, 4, "non-isolated-count")
+    assert non_iso == OrderExclusion(2, 4)
     assert non_iso.excludes(5)
     assert not non_iso.excludes(4)
     confirmed = 0

@@ -23,8 +23,13 @@ from iterroot.core import (
     profile,
     union_of,
 )
-from iterroot.instances import cyclic_power, f1, fig67, random_multifunction
+from iterroot.criteria import check_forward_paths, scan
+from iterroot.instances import cyclic_power, f1, f2, fig67, random_multifunction
 from iterroot.mfnio import serialize
+from iterroot.paths import count_paths, path_matrix
+from iterroot.poly import ComplexPolynomial, advise, first_solar, solar_criterion
+from iterroot.pullback import transfer_root
+from iterroot.search import find_multi_root, find_single_root, max_in_degree, max_out_degree
 
 
 def mf(size, *image_sets):
@@ -334,3 +339,74 @@ def test_union_of_matches_the_naive_loop():
                 if mask >> y & 1:
                     expected |= images[y]
             assert union_of(images, mask) == union_of(tuple(images), mask) == expected
+
+
+_F1 = f1(3)
+_FIG_F, _FIG_G = fig67()
+_SQUARE = ComplexPolynomial((0, 0, 1))
+
+# every count a library function takes: (the call, the least count, its message)
+_COUNTS = {
+    "iterate": (lambda n: iterate(_F1, n), 0, "iteration count must be nonnegative"),
+    "scan-M": (lambda M: scan(_F1, M), 1, "class bound M must be positive"),
+    "check-M": (lambda M: check_forward_paths(_F1, 0, M, 1), 1,
+                "bounds M and N must be positive"),
+    "check-N": (lambda N: check_forward_paths(_F1, 0, 1, N), 1,
+                "bounds M and N must be positive"),
+    "path_matrix": (lambda k: path_matrix(_F1, k), 0, "path length must be nonnegative"),
+    "count_paths": (lambda k: count_paths(_F1, [0], [1], k), 1,
+                    "set-to-set path counting requires length at least 1"),
+    "advise": (lambda n: advise(_SQUARE, n), 2, "root order must be at least 2"),
+    "solar_criterion": (solar_criterion, 2, "degree must be at least 2"),
+    "first_solar": (first_solar, 1, "count must be positive"),
+    "transfer_root": (lambda n: transfer_root(_FIG_F, _FIG_G, n), 2,
+                      "root order must be at least 2"),
+    "search-order": (lambda n: find_single_root(_FIG_F, n), 2, "root order must be at least 2"),
+    "search-budget": (lambda b: find_multi_root(_F1, 2, budget=b), 1, "budget must be positive"),
+    "max_out_degree": (max_out_degree, 1, "degree-bounded constraints need a positive bound"),
+    "max_in_degree": (max_in_degree, 1, "degree-bounded constraints need a positive bound"),
+    "f1": (f1, 3, "depth must be at least 3"),
+    "f2": (f2, 2, "depth must be at least 2"),
+    "cyclic_power": (lambda q: cyclic_power(q, 2), 1, "modulus must be positive"),
+    "random_multifunction": (lambda d: random_multifunction(3, 0, max_out_degree=d), 0,
+                             "max_out_degree must be nonnegative, got {}"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, float("inf")], ids=["2.5", "inf"])
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_a_non_integer_count_is_refused(name, value):
+    # a non-integer once failed deep inside with a TypeError, or was taken as is
+    call, _, message = _COUNTS[name]
+    with pytest.raises(ValueError, match="must be integers") as raised:
+        call(value)
+    assert str(raised.value).startswith(message.format(value))
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_a_count_below_its_least_keeps_its_message(name):
+    call, least, message = _COUNTS[name]
+    with pytest.raises(ValueError) as raised:
+        call(least - 1)
+    assert str(raised.value) == message.format(least - 1)
+    call(least)
+
+
+def test_non_integer_counts_no_longer_give_wrong_answers():
+    # advise reported PrimeOrder for "order 2.5", first_solar(2.5) gave three degrees,
+    # and an in-degree bound of 1.5 searched as a bound of 2
+    with pytest.raises(ValueError, match="must be integers"):
+        advise(_SQUARE, 2.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        first_solar(2.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        max_in_degree(1.5)
+
+
+def test_a_count_is_kept_as_an_int():
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert type(max_out_degree(Two()).bound) is int
+    assert find_single_root(_FIG_F, Two(), budget=Two()).budget == 2

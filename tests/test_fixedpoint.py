@@ -45,7 +45,7 @@ def test_three_point_collapse_profile():
 def test_rice_exclusion_fig67():
     f, _ = fig67()
     exclusion = rice_exclusion(f)
-    assert exclusion == OrderExclusion(8, None, "tail-mass")
+    assert exclusion == OrderExclusion(8, None)
     assert exclusion.excludes(9) and exclusion.excludes(100)
     assert not exclusion.excludes(8)
 
@@ -66,7 +66,7 @@ def test_rice_exclusion_three_point_collapse_excludes_everything():
 def test_non_isolated_exclusion_fig67():
     f, _ = fig67()
     exclusion = non_isolated_exclusion(f)
-    assert exclusion == OrderExclusion(2, 4, "non-isolated-count")
+    assert exclusion == OrderExclusion(2, 4)
     assert exclusion.excludes(5)
     assert exclusion.excludes(7) and exclusion.excludes(11) and exclusion.excludes(13)
     assert not exclusion.excludes(4)  # the order-4 root exists
@@ -75,8 +75,8 @@ def test_non_isolated_exclusion_fig67():
 
 
 def test_exclusion_describes_its_window():
-    assert OrderExclusion(8, None, "tail-mass").describe() == "all orders n > 8"
-    assert OrderExclusion(2, 4, "non-isolated-count").describe() == \
+    assert OrderExclusion(8, None).describe() == "all orders n > 8"
+    assert OrderExclusion(2, 4).describe() == \
         "orders n > 2 with no divisor in [2, 4]"
 
 
@@ -95,14 +95,14 @@ def test_two_fixed_point_instance_excludes_odd_orders():
     ground = GroundSet(tuple("abcdef"))
     f = SingleMap(ground, (0, 0, 1, 3, 3, 4))
     exclusion = non_isolated_exclusion(f)
-    assert exclusion == OrderExclusion(1, 2, "non-isolated-count")
+    assert exclusion == OrderExclusion(1, 2)
     assert exclusion.excludes(3) and exclusion.excludes(5)
     assert not exclusion.excludes(2)
     assert find_single_root(f, 3).outcome == "exhausted"
 
 
 def test_exclusion_monotone_within_residue_pattern():
-    exclusion = OrderExclusion(2, 4, "non-isolated-count")
+    exclusion = OrderExclusion(2, 4)
     assert exclusion.excludes(5)
     assert exclusion.excludes(25)  # same coprimality pattern, larger order
 

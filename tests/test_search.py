@@ -304,13 +304,24 @@ def test_single_root_of_identity_orders_two_and_three():
 
 
 def test_single_and_multi_search_agree_on_total_maps():
-    from iterroot.instances import random_single_map
-    for seed in range(40):
-        f = random_single_map(4, seed=seed)
-        single = find_single_root(f, 2)
-        multi = find_multi_root(f.as_multifunction(), 2,
-                                max_out_degree(1, require_total_domain=True))
-        assert single.found == multi.found
+    # a total map's roots are the multifunction roots of out-degree at most one with
+    # a total domain, tried in the same order, so the multi-map engine checks the
+    # single-map engine's outcome, node count and witness; a small budget on every
+    # fourth request checks where both stop
+    rng = random.Random(20261019)
+    for trial in range(400):
+        size, n = rng.randint(3, 8), rng.randint(2, 4)
+        f = (random_single_map, random_permutation)[trial % 2](size, rng.randrange(2**31))
+        if trial % 3 == 0:  # a planted root makes witnesses common
+            f = iterate_map(f, n)
+        budget = 40 if trial % 4 == 3 else 20_000
+        single = find_single_root(f, n, budget=budget)
+        multi = find_multi_root(f.as_multifunction(), n,
+                                max_out_degree(1, require_total_domain=True), budget=budget)
+        assert single.outcome == multi.outcome, (f.image, n)
+        assert single.nodes_explored == multi.nodes_explored, (f.image, n)
+        if single.found:
+            assert single.witness.as_multifunction() == multi.witness, (f.image, n)
 
 
 def test_unconstrained_search_on_constant_map():
