@@ -122,7 +122,7 @@ class Multifunction:
     @classmethod
     def from_sets(cls, ground: GroundSet, images: Iterable[Iterable[int]]) -> "Multifunction":
         """The multifunction with image ``images[x]`` at x, given as any iterables of indices."""
-        rows = tuple(tuple(sorted(set(s))) for s in images)
+        rows = tuple(tuple(sorted(set(map(operator.index, s)))) for s in images)
         size = ground.size
         if len(rows) != size:
             raise ValueError("one image mask per point required")
@@ -179,7 +179,7 @@ class SingleMap:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        image = tuple(self.image)
+        image = tuple(map(operator.index, self.image))
         object.__setattr__(self, "image", image)
         size = self.ground.size
         if len(image) != size:

@@ -30,30 +30,30 @@ class InstanceSpec:
     seed: int | None = None
 
 
+def _rows(ground: GroundSet, images: dict[str, tuple[str, ...]]) -> list[tuple[int, ...]]:
+    """Per point in ground order, the image that ``images`` gives its label, with
+    every label read through ``ground.index``.  ``f1`` and ``f2`` write their
+    images in ground order, so the keys of ``images`` are their labels."""
+    return [tuple(map(ground.index, images[label])) for label in ground.labels]
+
+
 def f1(depth: int = 3) -> Multifunction:
     """Hub with four in-routes fed pairwise by two branching points, plus a
     forward cycle; fires the forward path rule with M=2, N=1 but leaves the
     two-step preimage of the hub at exactly two points."""
     depth = _count(depth, 3, "depth must be at least 3")
-    labels = [f"x{i}" for i in range(depth + 1)]
-    labels += [f"x-1.{j}" for j in range(1, 5)]
-    for i in range(2, depth + 1):
-        labels += [f"x-{i}.1", f"x-{i}.2"]
-    ground = GroundSet(tuple(labels))
-    idx = {lab: k for k, lab in enumerate(ground.labels)}
-    images = [()] * ground.size
-    for i in range(depth):
-        images[idx[f"x{i}"]] = (idx[f"x{i + 1}"],)
+    images = {f"x{i}": (f"x{i + 1}",) for i in range(depth)}
     # close the forward chain into the preimage-free tail of backward chain 1
-    images[idx[f"x{depth}"]] = (idx[f"x-{depth}.1"],)
+    images[f"x{depth}"] = (f"x-{depth}.1",)
     for j in range(1, 5):
-        images[idx[f"x-1.{j}"]] = (idx["x0"],)
-    images[idx["x-2.1"]] = (idx["x-1.1"], idx["x-1.2"])
-    images[idx["x-2.2"]] = (idx["x-1.3"], idx["x-1.4"])
+        images[f"x-1.{j}"] = ("x0",)
+    images["x-2.1"] = ("x-1.1", "x-1.2")
+    images["x-2.2"] = ("x-1.3", "x-1.4")
     for i in range(3, depth + 1):
         for j in (1, 2):
-            images[idx[f"x-{i}.{j}"]] = (idx[f"x-{i - 1}.{j}"],)
-    return Multifunction.from_sets(ground, images)
+            images[f"x-{i}.{j}"] = (f"x-{i - 1}.{j}",)
+    ground = GroundSet(tuple(images))
+    return Multifunction.from_sets(ground, _rows(ground, images))
 
 
 def f2(depth: int = 3) -> Multifunction:
@@ -61,27 +61,20 @@ def f2(depth: int = 3) -> Multifunction:
     backward chains; closed so the domain and image are both the whole set
     and every out-degree stays at most two."""
     depth = _count(depth, 2, "depth must be at least 2")
-    labels = ["x0"]
-    for i in range(1, depth + 1):
-        labels += [f"x{i}.1", f"x{i}.2"]
-    for i in range(1, depth + 1):
-        labels += [f"x-{i}.1", f"x-{i}.2", f"x-{i}.3"]
-    ground = GroundSet(tuple(labels))
-    idx = {lab: k for k, lab in enumerate(ground.labels)}
-    images = [()] * ground.size
-    images[idx["x0"]] = (idx["x1.1"], idx["x1.2"])
+    images = {"x0": ("x1.1", "x1.2")}
     for i in range(1, depth):
         for j in (1, 2):
-            images[idx[f"x{i}.{j}"]] = (idx[f"x{i + 1}.{j}"],)
+            images[f"x{i}.{j}"] = (f"x{i + 1}.{j}",)
     # close both forward chains so that all three backward tails get preimages
-    images[idx[f"x{depth}.1"]] = (idx[f"x-{depth}.1"], idx[f"x-{depth}.3"])
-    images[idx[f"x{depth}.2"]] = (idx[f"x-{depth}.2"],)
+    images[f"x{depth}.1"] = (f"x-{depth}.1", f"x-{depth}.3")
+    images[f"x{depth}.2"] = (f"x-{depth}.2",)
     for j in (1, 2, 3):
-        images[idx[f"x-1.{j}"]] = (idx["x0"],)
+        images[f"x-1.{j}"] = ("x0",)
     for i in range(2, depth + 1):
         for j in (1, 2, 3):
-            images[idx[f"x-{i}.{j}"]] = (idx[f"x-{i - 1}.{j}"],)
-    return Multifunction.from_sets(ground, images)
+            images[f"x-{i}.{j}"] = (f"x-{i - 1}.{j}",)
+    ground = GroundSet(tuple(images))
+    return Multifunction.from_sets(ground, _rows(ground, images))
 
 
 def fig67() -> tuple[SingleMap, SingleMap]:
@@ -91,23 +84,17 @@ def fig67() -> tuple[SingleMap, SingleMap]:
     labels += [f"y{j}.2" for j in range(1, 5)]
     labels += [f"z{j}.1" for j in range(1, 5)]
     labels += [f"z{j}.2" for j in range(1, 5)]
-    ground = GroundSet(tuple(labels))
-    idx = {lab: k for k, lab in enumerate(ground.labels)}
-    f = [0] * ground.size
-    g = [0] * ground.size
+    f, g = {}, {}  # label -> the label of its image
     for j in range(1, 5):
-        f[idx[f"x{j}"]] = idx[f"x{j}"]
-        g[idx[f"x{j}"]] = idx[f"x{j % 4 + 1}"]
+        f[f"x{j}"], g[f"x{j}"] = f"x{j}", f"x{j % 4 + 1}"
         for i in (1, 2):
-            f[idx[f"y{j}.{i}"]] = idx[f"x{j}"]
-            f[idx[f"z{j}.{i}"]] = idx[f"y{j}.{i}"]
+            f[f"y{j}.{i}"], f[f"z{j}.{i}"] = f"x{j}", f"y{j}.{i}"
             if j <= 3:
-                g[idx[f"y{j}.{i}"]] = idx[f"y{j + 1}.{i}"]
-                g[idx[f"z{j}.{i}"]] = idx[f"z{j + 1}.{i}"]
+                g[f"y{j}.{i}"], g[f"z{j}.{i}"] = f"y{j + 1}.{i}", f"z{j + 1}.{i}"
             else:
-                g[idx[f"y{j}.{i}"]] = idx["x1"]
-                g[idx[f"z{j}.{i}"]] = idx[f"y1.{i}"]
-    return SingleMap(ground, tuple(f)), SingleMap(ground, tuple(g))
+                g[f"y{j}.{i}"], g[f"z{j}.{i}"] = "x1", f"y1.{i}"
+    ground = GroundSet(tuple(labels))
+    return tuple(SingleMap(ground, [ground.index(h[label]) for label in labels]) for h in (f, g))
 
 
 def cyclic_power(modulus: int, exponent: int, variant: str = "add") -> SingleMap:

@@ -10,6 +10,7 @@ in ``tests/path_oracle.py`` checks it in turn.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .core import Multifunction, _count
@@ -52,11 +53,16 @@ def path_matrix(F: Multifunction, k: int) -> tuple[tuple[int, ...], ...]:
 def count_paths(F: Multifunction, from_points: Iterable[int], to_points: Iterable[int], k: int) -> int:
     """Number of k-paths starting in ``from_points`` and ending in ``to_points``, k >= 1.
 
-    A point listed twice in either set counts twice.
+    A point listed twice in either set counts twice; a point outside the ground
+    raises ValueError, and a non-integer TypeError.
     """
     k = _count(k, 1, "set-to-set path counting requires length at least 1")
     successors = F.rows
     row = [0] * F.ground.size
+    from_points = list(map(operator.index, from_points))
+    to_points = list(map(operator.index, to_points))
+    if not all(map(range(len(row)).__contains__, from_points + to_points)):
+        raise ValueError("path endpoints must be points of the ground set")
     for x in from_points:
         row[x] += 1
     for _ in range(k):

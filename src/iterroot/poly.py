@@ -6,6 +6,10 @@ Gaussian integers n_k, and the degree, primality, modular power, fixed-point
 and structural tests are integer identities in them.  A finding is thus
 sound for the polynomial whose coefficients are exactly the given floats.
 Advice only ever asserts nonexistence: an empty findings list claims nothing.
+Primality is trial division by the 13 primes up to 41, then Miller-Rabin to
+those 13 bases, which is exact below psi_13 = 3,317,044,064,679,887,385,961,981
+(Sorenson & Webster 2017); an order at or above psi_13 never counts as prime,
+so PrimeOrder abstains there; RiceDegree covers it whenever n > d(d - 1).
 
 The two structural rules:
 
@@ -63,23 +67,28 @@ class ComplexPolynomial:
         return acc
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by a plain sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to all 13 bases
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Whether n is prime, exactly below psi_13 and False from it on (see the
+    module docstring), so no finding rests on an unproven prime."""
+    if n < 2 or n >= _PSI_13:
         return False
-    for p in range(2, int(n**0.5) + 1):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
     return True
 
@@ -91,7 +100,7 @@ def _solar(d: int, primes: Iterable[int]) -> bool:
 def solar_criterion(d: int) -> bool:
     """True iff d^p and d differ modulo p^2 for every prime p <= d."""
     d = _count(d, 2, "degree must be at least 2")
-    return _solar(d, primes_upto(d))
+    return _solar(d, filter(is_prime, range(2, d + 1)))
 
 
 def first_solar(count: int) -> list[int]:

@@ -8,9 +8,8 @@ the witness map reads membership backwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
-from .core import Multifunction, SingleMap, _count, compose, invert, iterate
+from .core import Multifunction, SingleMap, _count, _in_degrees, compose, invert, iterate
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
@@ -25,20 +24,14 @@ class PullbackWitness:
     failed_conditions: frozenset[str]
 
 
-def _union_and_disjointness(rows: tuple[tuple[int, ...], ...]) -> tuple[set[int], bool]:
-    """The union of the rows, and whether they are pairwise disjoint."""
-    seen = set(chain.from_iterable(rows))
-    return seen, len(seen) == sum(map(len, rows))
-
-
 def is_pullback(F: Multifunction) -> PullbackWitness:
     """Decide pullback membership in O(size + edges); failures are reported, never raised."""
     rows = F.rows
+    hits = _in_degrees(rows)
     failed = set()
-    seen, disjoint = _union_and_disjointness(rows)
-    if not disjoint:
+    if max(hits) > 1:
         failed.add("disjointness")
-    if len(seen) != F.ground.size:
+    if min(hits) < 1:
         failed.add("surjectivity")
     if not all(rows):
         failed.add("totality")
@@ -85,10 +78,9 @@ def decomposition_check(F: Multifunction, G1: Multifunction, G2: Multifunction,
             failed.append("root_identity")
     if failed:
         return DecompositionReport(False, tuple(failed))
-    im_g1_full = len(_union_and_disjointness(G1.rows)[0]) == F.ground.size
-    _, disjoint = _union_and_disjointness(G2.rows)
     root_is_pullback = is_pullback(root).is_pullback if root is not None else None
-    return DecompositionReport(True, (), im_g1_full, disjoint, root_is_pullback)
+    return DecompositionReport(True, (), min(_in_degrees(G1.rows)) >= 1,
+                               max(_in_degrees(G2.rows)) <= 1, root_is_pullback)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,19 @@ def test_cli_iterate_at_order_ten_to_the_eight_is_bounded(tmp_path):
     assert proc.stdout == serialize(_reference_iterate(f1(4), 100000000))
 
 
+def test_non_integer_points_are_refused_at_construction():
+    # cyclic_power(5, 2.5) built a map with images (2.5, 3.5, ...), and from_sets
+    # kept 0.5 in a row
+    ground = GroundSet(("a", "b"))
+    with pytest.raises(TypeError):
+        cyclic_power(5, 2.5)
+    with pytest.raises(TypeError):
+        SingleMap(ground, (0, 1.0))
+    with pytest.raises(TypeError):
+        Multifunction.from_sets(ground, [[0.5], [1]])
+    assert type(SingleMap(ground, (True, 0)).image[0]) is int
+
+
 def test_image_masks_must_lie_in_the_ground_set():
     ground = GroundSet(("a", "b", "c"))
     assert Multifunction(ground, (0b111, 0, 0b100)).images == (0b111, 0, 0b100)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from iterroot.core import equals, iterate_map, profile
@@ -55,6 +57,17 @@ def test_fig67_is_a_fourth_root_pair():
     assert f.ground.size == 20
     assert iterate_map(g, 4) == f
     assert iterate_map(g, 2) != f
+
+
+def test_named_builders_keep_their_labels_and_rows():
+    # one SHA-256 over the labels and rows of f1 (depths 3-12), f2 (depths 2-12)
+    # and both fig67 maps, recorded when each builder kept its own label dict
+    parts = [("f1", d, f1(d).ground.labels, f1(d).rows) for d in range(3, 13)]
+    parts += [("f2", d, f2(d).ground.labels, f2(d).rows) for d in range(2, 13)]
+    for name, m in zip(("fig67-f", "fig67-g"), fig67()):
+        parts.append((name, None, m.ground.labels, m.image))
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == "ea91d7428960c1bc24976603ea1d9b0f2d2f2c065949926cb7cfd9d89162cff1"
 
 
 def test_cyclic_power_translation_and_multiplication():

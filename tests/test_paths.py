@@ -61,6 +61,18 @@ def test_zero_length_set_counting_rejected():
         count_paths(F, [0], [1], 0)
 
 
+def test_endpoints_outside_the_ground_are_refused():
+    # -1 used to count paths from the last point, and 99 raised IndexError
+    F = f1(3)
+    for sources, targets in (([-1], [0]), ([99], [0]), ([0], [12]), (iter([0, -1]), [0])):
+        with pytest.raises(ValueError, match="^path endpoints must be points of the ground set$"):
+            count_paths(F, sources, targets, 1)
+    with pytest.raises(TypeError):
+        count_paths(F, [1.0], [0], 1)
+    # iterables are read once, and a listed point still counts twice
+    assert count_paths(F, iter([0, 0]), iter(range(12)), 1) == 2
+
+
 def test_matrix_counts_match_dfs_enumeration():
     for seed in range(8):
         F = random_multifunction(6, seed=seed)

@@ -19,7 +19,6 @@ from iterroot.poly import (
     first_solar,
     is_prime,
     is_shifted_monomial,
-    primes_upto,
     repeated_fixed_point,
     solar_criterion,
 )
@@ -48,11 +47,37 @@ def test_polynomial_evaluation():
     assert p(1j) == 0
 
 
+def _primes_upto(n):
+    """The trial-division oracle: the primes <= n."""
+    return [m for m in range(2, n + 1) if all(m % p for p in range(2, math.isqrt(m) + 1))]
+
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases (OEIS A014233)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461)
+_PSI_13 = 1287836182261 * 2575672364521
+
+
 def test_primes_and_primality():
-    assert primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert primes_upto(1) == []
+    assert _primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert _primes_upto(1) == []
     assert is_prime(2) and is_prime(97)
     assert not is_prime(1) and not is_prime(91)
+    # strong pseudoprimes to the first 1-12 bases and Carmichael numbers
+    for n in _PSI + (561, 1105, 1729, 41041, 825265):
+        assert not is_prime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 10**16 + 61, 10**18 + 9):
+        assert is_prime(n), n
+    # psi_13 passes all 13 Miller-Rabin bases, and 2^89 - 1 is a prime above it:
+    # from psi_13 on, no number counts as prime
+    assert _PSI_13 == 3317044064679887385961981
+    assert not is_prime(_PSI_13)
+    assert not is_prime(2**89 - 1)
+
+
+def test_is_prime_equals_trial_division_up_to_ten_to_the_five():
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == _primes_upto(10**5)
 
 
 def test_solar_criterion_small_cases():
@@ -75,7 +100,7 @@ def test_first_solar_equals_filtering_by_the_criterion():
 
 def test_solar_criterion_matches_direct_modular_check():
     for d in range(2, 160):
-        direct = all(pow(d, p) % (p * p) != d % (p * p) for p in primes_upto(d))
+        direct = all(pow(d, p) % (p * p) != d % (p * p) for p in _primes_upto(d))
         assert solar_criterion(d) == direct
 
 
@@ -388,6 +413,12 @@ def test_advise_prime_order_above_degree():
     advice = advise(poly(1, 1, 0, 1), 5)  # degree 3, n = 5 prime > 3
     assert "PrimeOrder" in {f.rule for f in advice.findings}
     assert advice.excludes_order(5)
+    # a large prime order is decided within a second; trial division took a minute
+    start = time.perf_counter()
+    advice = advise(poly(0, 0, 1), 10**18 + 9)
+    assert time.perf_counter() - start < 1.0
+    assert [f.excluded for f in advice.findings if f.rule == "PrimeOrder"] == [
+        frozenset({10**18 + 9})]
 
 
 def test_advise_cubic_with_few_fixed_points():
