@@ -6,8 +6,8 @@ point-counting rule stays silent, and then a second instance where both
 rules rule out every root at once.
 """
 from iterroot import (
-    check_forward_paths,
-    check_forward_points,
+    Rule,
+    check_rule,
     f1,
     f2,
     invert,
@@ -27,8 +27,8 @@ def main():
     print("instance f1: hub x0 with four one-step in-routes, out-degrees <= 2")
 
     print("forward rules at the hub (M=2, N=1):")
-    show(F.ground, check_forward_paths(F, x0, 2, 1))
-    show(F.ground, check_forward_points(F, x0, 2, 1))
+    show(F.ground, check_rule(F, Rule.FORWARD_PATHS, 2, [x0], 1)[0])
+    show(F.ground, check_rule(F, Rule.FORWARD_POINTS, 2, [x0], 1)[0])
     print("  four 2-paths end at the hub but only two distinct start points;")
     print("  the strict bound Q > M*N^3 = 2 separates the two rules.\n")
 

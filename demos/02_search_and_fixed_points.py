@@ -9,10 +9,9 @@ from iterroot import (
     fig67,
     find_multi_root,
     find_single_root,
+    fixed_point_profile,
     iterate,
     max_out_degree,
-    non_isolated_exclusion,
-    rice_exclusion,
 )
 
 
@@ -24,9 +23,10 @@ def main():
     print(f"search order 4: {result.outcome} after {result.nodes_explored} "
           f"nodes in {result.elapsed:.2f}s")
 
-    print(f"tail-mass exclusion: {rice_exclusion(f).describe()}")
-    print(f"non-isolated exclusion: {non_isolated_exclusion(f).describe()}")
-    exclusion = non_isolated_exclusion(f)
+    prof = fixed_point_profile(f)
+    print(f"tail-mass exclusion: {prof.rice_exclusion().describe()}")
+    exclusion = prof.non_isolated_exclusion()
+    print(f"non-isolated exclusion: {exclusion.describe()}")
     for n in (2, 4, 5, 7):
         print(f"  order {n} excluded: {exclusion.excludes(n)}")
 

@@ -5,31 +5,23 @@ advice, and exhaustive search oracles.
 The package resolves its names on first use (PEP 562): ``import iterroot``
 loads no submodule, and ``iterroot.scan`` or ``iterroot.search`` imports the
 module that defines it, so a process pays only for the modules it touches.
+It exports one name per concept; aliases and test oracles stay in their modules.
 """
 
-# each submodule and the public names it defines; equals, iterate_map, profile,
-# StructuralProfile, path_matrix, the check_* rules and the two fixedpoint
-# exclusions serve no command or module, only the benchmark's probes in bench/
+# each submodule and the public names it defines
 _EXPORTS = {
     "core": (
-        "GroundSet", "Multifunction", "SingleMap", "StructuralProfile", "as_single_map",
-        "compose", "equals", "identity_map", "identity_multifunction", "invert", "iterate",
-        "iterate_map", "profile",
+        "GroundSet", "Multifunction", "SingleMap", "as_single_map", "compose",
+        "identity_map", "identity_multifunction", "invert", "iterate",
     ),
-    "criteria": (
-        "Certificate", "Conclusion", "Rule", "check_forward_paths", "check_forward_points",
-        "check_inverse_paths", "check_inverse_points", "scan",
-    ),
-    "fixedpoint": (
-        "FixedPointProfile", "OrderExclusion", "fixed_point_profile",
-        "non_isolated_exclusion", "rice_exclusion",
-    ),
+    "criteria": ("Certificate", "Conclusion", "Rule", "check_rule", "scan"),
+    "fixedpoint": ("FixedPointProfile", "OrderExclusion", "fixed_point_profile"),
     "instances": (
         "InstanceSpec", "build", "cyclic_power", "f1", "f2", "fig67",
         "random_multifunction", "random_permutation", "random_single_map",
     ),
     "mfnio": ("ParseError", "parse", "serialize"),
-    "paths": ("count_paths", "path_matrix"),
+    "paths": ("count_paths",),
     "poly": ("ComplexPolynomial", "PolyAdvice", "advise", "first_solar", "solar_criterion"),
     "pullback": (
         "PullbackWitness", "decomposition_check", "is_pullback", "pullback_of",

@@ -82,8 +82,7 @@ def cmd_check(args) -> int:
         certs = criteria.scan(F, args.M)
     else:
         points = None if args.x0 is None else [ground.index(args.x0)]
-        certs = [cert for cert in criteria.check_rule(F, criteria.Rule(args.rule), args.M,
-                                                      points, args.N)
+        certs = [cert for cert in criteria.check_rule(F, args.rule, args.M, points, args.N)
                  if cert.fires or args.x0 is not None]
     if args.json:
         print(json.dumps({"certificates": [_certificate_json(ground, c) for c in certs]},

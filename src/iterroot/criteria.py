@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import contains
+from operator import contains, index
 from typing import Iterable
 
 from .core import Multifunction, _count, _in_degrees
@@ -158,22 +158,25 @@ def _check(view: _View, rule: Rule, x0: int, M: int, N: int, Q: int) -> Certific
     )
 
 
-def _validate(F: Multifunction, x0: int, M: int, N: int) -> None:
+def _point(F: Multifunction, x0: int) -> int:
+    """``x0`` as an index of F's ground: TypeError for a non-integer, ValueError outside."""
+    x0 = index(x0)
     if not 0 <= x0 < F.ground.size:
         raise ValueError(f"witness point {x0} out of range")
-    _count(M, 1, "bounds M and N must be positive")
-    _count(N, 1, "bounds M and N must be positive")
+    return x0
 
 
-def check_rule(F: Multifunction, rule: Rule, M: int, points: Iterable[int] | None = None,
+def check_rule(F: Multifunction, rule: Rule | str, M: int, points: Iterable[int] | None = None,
                N: int | None = None) -> list[Certificate]:
     """Certificates of one rule at each witness point, all from one view of F: by
     default at the one point that can fire (``top_at``), and at each one's minimal N."""
+    rule = Rule(rule)
+    M = _count(M, 1, "bounds M and N must be positive")
+    N = N if N is None else _count(N, 1, "bounds M and N must be positive")
     view = _View(F.rows, rule in _INVERSE_RULES)
     certs = []
-    for x0 in [view.top_at] if points is None else points:
+    for x0 in [view.top_at] if points is None else [_point(F, x0) for x0 in points]:
         bound = N if N is not None else max(1, view.n_max_at(x0))
-        _validate(F, x0, M, bound)
         certs.append(_check(view, rule, x0, M, bound, _q(view, rule, x0)))
     return certs
 
@@ -201,9 +204,10 @@ def check_inverse_points(F: Multifunction, x0: int, M: int, N: int) -> Certifica
 RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.INVERSE_POINTS)
 
 
-def minimal_N(F: Multifunction, rule: Rule, x0: int) -> int:
+def minimal_N(F: Multifunction, rule: Rule | str, x0: int) -> int:
     """Smallest admissible N: the largest relevant per-point 1-count away from x0."""
-    return max(1, _View(F.rows, rule in _INVERSE_RULES).n_max_at(x0))
+    x0 = _point(F, x0)
+    return max(1, _View(F.rows, Rule(rule) in _INVERSE_RULES).n_max_at(x0))
 
 
 def scan(F: Multifunction, M: int) -> list[Certificate]:

@@ -6,10 +6,11 @@ Gaussian integers n_k, and the degree, primality, modular power, fixed-point
 and structural tests are integer identities in them.  A finding is thus
 sound for the polynomial whose coefficients are exactly the given floats.
 Advice only ever asserts nonexistence: an empty findings list claims nothing.
-Primality is trial division by the 13 primes up to 41, then Miller-Rabin to
-those 13 bases, which is exact below psi_13 = 3,317,044,064,679,887,385,961,981
-(Sorenson & Webster 2017); an order at or above psi_13 never counts as prime,
-so PrimeOrder abstains there; RiceDegree covers it whenever n > d(d - 1).
+Primality is trial division by the 13 primes up to 41, then Miller-Rabin to the
+first k of them for the least k with n below psi_k, the least strong pseudoprime
+to those k bases (OEIS A014233; Sorenson & Webster 2017): exact below psi_13 =
+3,317,044,064,679,887,385,961,981.  An order at or above psi_13 never counts as
+prime, so PrimeOrder abstains there; RiceDegree covers it whenever n > d(d - 1).
 
 The two structural rules:
 
@@ -68,29 +69,32 @@ class ComplexPolynomial:
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to all 13 bases
+# psi_1 ... psi_13: below psi_k, Miller-Rabin to the first k bases is exact
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, exactly below psi_13 and False from it on (see the
-    module docstring), so no finding rests on an unproven prime."""
-    if n < 2 or n >= _PSI_13:
+    """Whether n is prime, exactly below psi_13 and False from it on, so no finding
+    rests on an unproven prime; the round for base k ends the test once n < psi_k."""
+    if n < 2 or n >= _PSI[-1]:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
-    for a in _SMALL_PRIMES:
+    for a, psi in zip(_SMALL_PRIMES, _PSI):
         x = pow(a, (n - 1) >> s, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
+        if x != 1:
+            for _ in range(s):
+                if x == n - 1:
+                    break
+                x = x * x % n
+            else:
+                return False
+        if n < psi:  # n < psi_13, so the last round always ends here
+            return True
 
 
 def _solar(d: int, primes: Iterable[int]) -> bool:

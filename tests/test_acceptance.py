@@ -12,24 +12,16 @@ from iterroot.cli import main
 from iterroot.core import (
     GroundSet,
     Multifunction,
-    equals,
     invert,
-    iterate_map,
+    iterate,
 )
 from iterroot.criteria import (
     Conclusion,
     Rule,
-    check_forward_paths,
-    check_forward_points,
-    check_inverse_paths,
-    check_inverse_points,
+    check_rule,
     scan,
 )
-from iterroot.fixedpoint import (
-    OrderExclusion,
-    non_isolated_exclusion,
-    rice_exclusion,
-)
+from iterroot.fixedpoint import OrderExclusion, fixed_point_profile
 from iterroot.instances import (
     f1,
     fig67,
@@ -53,10 +45,10 @@ from path_oracle import count_paths_dfs
 
 def test_criterion_01_twenty_point_fourth_root_identity_and_search():
     f, g = fig67()
-    assert iterate_map(g, 4) == f
+    assert iterate(g, 4) == f
     result = find_single_root(f, 4, max_points=20)
     assert result.found
-    assert iterate_map(result.witness, 4) == f
+    assert iterate(result.witness, 4) == f
     assert result.elapsed < 1.0
     print("PASS criterion 1: 20-point order-4 root identity holds and the "
           f"search re-finds a root in {result.elapsed:.2f}s")
@@ -73,8 +65,8 @@ def test_criterion_02_first_25_criterion_degrees():
 def test_criterion_03_chain_family_discrepancy_pair():
     F = f1(3)
     x0 = F.ground.index("x0")
-    paths_cert = check_forward_paths(F, x0, 2, 1)
-    points_cert = check_forward_points(F, x0, 2, 1)
+    paths_cert = check_rule(F, Rule.FORWARD_PATHS, 2, [x0], 1)[0]
+    points_cert = check_rule(F, Rule.FORWARD_POINTS, 2, [x0], 1)[0]
     assert paths_cert.conclusion is Conclusion.NO_ROOTS_IN_CLASS
     assert paths_cert.measured_Q == 4
     assert points_cert.conclusion is Conclusion.NOT_APPLICABLE
@@ -147,11 +139,11 @@ def test_criterion_06_forward_inverse_duality():
         inv = invert(F)
         M = 1 + seed % 2
         for x0 in range(size):
-            a = check_inverse_paths(F, x0, M, 1)
-            b = check_forward_paths(inv, x0, M, 1)
+            a = check_rule(F, Rule.INVERSE_PATHS, M, [x0], 1)[0]
+            b = check_rule(inv, Rule.FORWARD_PATHS, M, [x0], 1)[0]
             assert (a.conclusion, a.measured_Q) == (b.conclusion, b.measured_Q)
-            c = check_inverse_points(F, x0, M, 1)
-            d = check_forward_points(inv, x0, M, 1)
+            c = check_rule(F, Rule.INVERSE_POINTS, M, [x0], 1)[0]
+            d = check_rule(inv, Rule.FORWARD_POINTS, M, [x0], 1)[0]
             assert (c.conclusion, c.measured_Q) == (d.conclusion, d.measured_Q)
             checked += 1
     assert checked >= 500
@@ -182,8 +174,9 @@ def test_criterion_07_pullback_square_root_correspondence():
 
 def test_criterion_08_fixed_point_order_exclusions():
     f, _ = fig67()
-    assert rice_exclusion(f) == OrderExclusion(8, None)
-    non_iso = non_isolated_exclusion(f)
+    prof = fixed_point_profile(f)
+    assert prof.rice_exclusion() == OrderExclusion(8, None)
+    non_iso = prof.non_isolated_exclusion()
     assert non_iso == OrderExclusion(2, 4)
     assert non_iso.excludes(5)
     assert not non_iso.excludes(4)
@@ -191,7 +184,8 @@ def test_criterion_08_fixed_point_order_exclusions():
     for seed in range(2000):
         size = 3 + seed % 3
         g = random_single_map(size, seed=seed + 9000)
-        for exclusion in (rice_exclusion(g), non_isolated_exclusion(g)):
+        prof = fixed_point_profile(g)
+        for exclusion in (prof.rice_exclusion(), prof.non_isolated_exclusion()):
             if exclusion is None:
                 continue
             for n in range(2, 6):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,10 +14,6 @@ from iterroot.criteria import (
     Certificate,
     Conclusion,
     Rule,
-    check_forward_paths,
-    check_forward_points,
-    check_inverse_paths,
-    check_inverse_points,
     check_rule,
     minimal_N,
     scan,
@@ -29,7 +26,7 @@ from iterroot.paths import path_matrix
 
 def test_f1_forward_paths_fires_in_class():
     F = f1(3)
-    cert = check_forward_paths(F, F.ground.index("x0"), 2, 1)
+    cert = check_rule(F, Rule.FORWARD_PATHS, 2, [F.ground.index("x0")], 1)[0]
     assert cert.conclusion is Conclusion.NO_ROOTS_IN_CLASS
     assert cert.measured_Q == 4
     assert cert.measured_N_max == 1
@@ -37,7 +34,7 @@ def test_f1_forward_paths_fires_in_class():
 
 def test_f1_forward_points_not_applicable_at_the_bound():
     F = f1(3)
-    cert = check_forward_points(F, F.ground.index("x0"), 2, 1)
+    cert = check_rule(F, Rule.FORWARD_POINTS, 2, [F.ground.index("x0")], 1)[0]
     assert cert.conclusion is Conclusion.NOT_APPLICABLE
     assert cert.measured_Q == 2  # equals M*N^3, and the comparison is strict
     assert "Q_exceeds_MN3" in cert.failed_hypotheses
@@ -46,7 +43,7 @@ def test_f1_forward_points_not_applicable_at_the_bound():
 def test_identity_never_applicable():
     F = identity_multifunction(f1(3).ground)
     for x0 in range(F.ground.size):
-        cert = check_forward_paths(F, x0, 2, 1)
+        cert = check_rule(F, Rule.FORWARD_PATHS, 2, [x0], 1)[0]
         assert cert.conclusion is Conclusion.NOT_APPLICABLE
         assert "x0_not_fixed" in cert.failed_hypotheses
 
@@ -54,8 +51,8 @@ def test_identity_never_applicable():
 def test_f2_fires_no_roots_at_all_under_both_forward_rules():
     F = f2(3)
     x0 = F.ground.index("x0")
-    paths_cert = check_forward_paths(F, x0, 2, 1)
-    points_cert = check_forward_points(F, x0, 2, 1)
+    paths_cert = check_rule(F, Rule.FORWARD_PATHS, 2, [x0], 1)[0]
+    points_cert = check_rule(F, Rule.FORWARD_POINTS, 2, [x0], 1)[0]
     assert paths_cert.conclusion is Conclusion.NO_ROOTS_AT_ALL
     assert paths_cert.measured_Q == 3
     assert points_cert.conclusion is Conclusion.NO_ROOTS_AT_ALL
@@ -64,7 +61,7 @@ def test_f2_fires_no_roots_at_all_under_both_forward_rules():
 
 def test_inverse_paths_fires_on_inverted_f1():
     F = invert(f1(3))
-    cert = check_inverse_paths(F, F.ground.index("x0"), 2, 1)
+    cert = check_rule(F, Rule.INVERSE_PATHS, 2, [F.ground.index("x0")], 1)[0]
     assert cert.conclusion is Conclusion.NO_ROOTS_IN_CLASS
     assert cert.measured_Q == 4
     assert cert.root_class == "max-in-degree"
@@ -72,14 +69,14 @@ def test_inverse_paths_fires_on_inverted_f1():
 
 def test_inverse_paths_not_applicable_on_f1_itself():
     F = f1(3)
-    cert = check_inverse_paths(F, F.ground.index("x0"), 2, 1)
+    cert = check_rule(F, Rule.INVERSE_PATHS, 2, [F.ground.index("x0")], 1)[0]
     assert cert.conclusion is Conclusion.NOT_APPLICABLE
     assert cert.measured_Q == 1  # single chain out of the hub
 
 
 def test_inverse_points_blocked_at_the_bound_on_inverted_f1():
     F = invert(f1(3))
-    cert = check_inverse_points(F, F.ground.index("x0"), 2, 1)
+    cert = check_rule(F, Rule.INVERSE_POINTS, 2, [F.ground.index("x0")], 1)[0]
     assert cert.conclusion is Conclusion.NOT_APPLICABLE
     assert cert.measured_Q == 2
 
@@ -89,7 +86,7 @@ def test_inverse_points_fires_on_wide_fan():
     ground = GroundSet(tuple("cabdefghijk"))
     F = Multifunction.from_sets(
         ground, [range(1, 6), *([i + 5] for i in range(1, 6)), *([0] for _ in range(6, 11))])
-    cert = check_inverse_points(F, 0, 1, 1)
+    cert = check_rule(F, Rule.INVERSE_POINTS, 1, [0], 1)[0]
     assert cert.measured_Q == 5
     assert cert.hypothesis("Q_exceeds_MN3")
 
@@ -97,7 +94,7 @@ def test_inverse_points_fires_on_wide_fan():
 def test_singleton_self_loop_not_applicable():
     from iterroot.core import GroundSet, Multifunction
     F = Multifunction(GroundSet(("a",)), (1,))
-    cert = check_inverse_points(F, 0, 1, 1)
+    cert = check_rule(F, Rule.INVERSE_POINTS, 1, [0], 1)[0]
     assert cert.conclusion is Conclusion.NOT_APPLICABLE
     assert "x0_not_fixed" in cert.failed_hypotheses
 
@@ -105,7 +102,7 @@ def test_singleton_self_loop_not_applicable():
 def test_missing_domain_point_reports_totality():
     from iterroot.core import GroundSet, Multifunction
     F = Multifunction(GroundSet(("a", "b")), (2, 0))
-    cert = check_forward_points(F, 0, 1, 1)
+    cert = check_rule(F, Rule.FORWARD_POINTS, 1, [0], 1)[0]
     assert cert.conclusion is Conclusion.NOT_APPLICABLE
     assert "totality" in cert.failed_hypotheses
 
@@ -113,11 +110,40 @@ def test_missing_domain_point_reports_totality():
 def test_validation_errors():
     F = f1(3)
     with pytest.raises(ValueError):
-        check_forward_paths(F, F.ground.size, 1, 1)
+        check_rule(F, Rule.FORWARD_PATHS, 1, [F.ground.size], 1)
     with pytest.raises(ValueError):
-        check_forward_paths(F, 0, 0, 1)
+        check_rule(F, Rule.FORWARD_PATHS, 0, [0], 1)
     with pytest.raises(ValueError):
-        check_forward_paths(F, 0, 1, 0)
+        check_rule(F, Rule.FORWARD_PATHS, 1, [0], 0)
+
+
+_F1 = f1(3)
+_FP = Rule.FORWARD_PATHS
+_BOUNDS = "bounds M and N must be positive"
+# each argument is read once, at entry, whatever else the call holds:
+# (the call, the error it raises or the value it returns)
+_ENTRY_CHECKS = {
+    "point-above": (lambda: minimal_N(_F1, _FP, 99), ValueError("witness point 99 out of range")),
+    "point-below": (lambda: minimal_N(_F1, _FP, -1), ValueError("witness point -1 out of range")),
+    "float-point": (lambda: check_rule(_F1, _FP, 2, [1.5]),
+                    TypeError("'float' object cannot be interpreted as an integer")),
+    "str-point": (lambda: check_rule(_F1, _FP, 2, ["a"]),
+                  TypeError("'str' object cannot be interpreted as an integer")),
+    "M-no-points": (lambda: check_rule(_F1, _FP, 0, []), ValueError(_BOUNDS)),
+    "N-no-points": (lambda: check_rule(_F1, _FP, 1, [], 0), ValueError(_BOUNDS)),
+    "unknown-rule": (lambda: minimal_N(_F1, "no-such-rule", 0),
+                     ValueError("'no-such-rule' is not a valid Rule")),
+    "rule-label": (lambda: check_rule(_F1, "forward-paths", 2)[0].rule, Rule.FORWARD_PATHS),
+}
+
+
+@pytest.mark.parametrize("call, expected", _ENTRY_CHECKS.values(), ids=_ENTRY_CHECKS)
+def test_each_argument_is_checked_at_entry(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            call()
+    else:
+        assert call() is expected
 
 
 def test_duality_forward_equals_inverse_on_inverted():
@@ -126,10 +152,10 @@ def test_duality_forward_equals_inverse_on_inverted():
         x0 = seed % 4
         M, N = 1 + seed % 2, 1 + seed % 3
         inv = invert(F)
-        assert check_inverse_paths(F, x0, M, N).conclusion == \
-            check_forward_paths(inv, x0, M, N).conclusion
-        assert check_inverse_points(F, x0, M, N).conclusion == \
-            check_forward_points(inv, x0, M, N).conclusion
+        assert check_rule(F, Rule.INVERSE_PATHS, M, [x0], N)[0].conclusion == \
+            check_rule(inv, Rule.FORWARD_PATHS, M, [x0], N)[0].conclusion
+        assert check_rule(F, Rule.INVERSE_POINTS, M, [x0], N)[0].conclusion == \
+            check_rule(inv, Rule.FORWARD_POINTS, M, [x0], N)[0].conclusion
 
 
 def test_points_rule_firing_implies_paths_rule_firing():
@@ -138,10 +164,10 @@ def test_points_rule_firing_implies_paths_rule_firing():
         F = random_multifunction(4, seed=seed, max_out_degree=2, density=0.4)
         for x0 in range(4):
             N = minimal_N(F, Rule.FORWARD_POINTS, x0)
-            points_cert = check_forward_points(F, x0, 2, N)
+            points_cert = check_rule(F, Rule.FORWARD_POINTS, 2, [x0], N)[0]
             if points_cert.fires:
                 hits += 1
-                assert check_forward_paths(F, x0, 2, N).fires
+                assert check_rule(F, Rule.FORWARD_PATHS, 2, [x0], N)[0].fires
     assert hits > 0
 
 

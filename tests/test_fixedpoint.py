@@ -3,8 +3,6 @@ from iterroot.fixedpoint import (
     FixedPointProfile,
     OrderExclusion,
     fixed_point_profile,
-    non_isolated_exclusion,
-    rice_exclusion,
 )
 from iterroot.instances import fig67, random_permutation, random_single_map
 from iterroot.search import find_single_root
@@ -44,7 +42,7 @@ def test_three_point_collapse_profile():
 
 def test_rice_exclusion_fig67():
     f, _ = fig67()
-    exclusion = rice_exclusion(f)
+    exclusion = fixed_point_profile(f).rice_exclusion()
     assert exclusion == OrderExclusion(8, None)
     assert exclusion.excludes(9) and exclusion.excludes(100)
     assert not exclusion.excludes(8)
@@ -52,11 +50,11 @@ def test_rice_exclusion_fig67():
 
 def test_rice_exclusion_absent_for_permutations():
     for seed in range(10):
-        assert rice_exclusion(random_permutation(5, seed=seed)) is None
+        assert fixed_point_profile(random_permutation(5, seed=seed)).rice_exclusion() is None
 
 
 def test_rice_exclusion_three_point_collapse_excludes_everything():
-    exclusion = rice_exclusion(three_point_collapse())
+    exclusion = fixed_point_profile(three_point_collapse()).rice_exclusion()
     assert exclusion.lower_bound == 1
     for n in (2, 3, 4, 5):
         assert exclusion.excludes(n)
@@ -65,7 +63,7 @@ def test_rice_exclusion_three_point_collapse_excludes_everything():
 
 def test_non_isolated_exclusion_fig67():
     f, _ = fig67()
-    exclusion = non_isolated_exclusion(f)
+    exclusion = fixed_point_profile(f).non_isolated_exclusion()
     assert exclusion == OrderExclusion(2, 4)
     assert exclusion.excludes(5)
     assert exclusion.excludes(7) and exclusion.excludes(11) and exclusion.excludes(13)
@@ -81,20 +79,20 @@ def test_exclusion_describes_its_window():
 
 
 def test_non_isolated_exclusion_needs_two_fixed_points():
-    assert non_isolated_exclusion(three_point_collapse()) is None
+    assert fixed_point_profile(three_point_collapse()).non_isolated_exclusion() is None
 
 
 def test_non_isolated_exclusion_needs_tail_preimages():
     # two non-isolated fixed points but one tail point with empty preimage
     f = SingleMap(GroundSet(tuple("abcd")), (0, 0, 2, 2))
-    assert non_isolated_exclusion(f) is None  # b has no preimage
+    assert fixed_point_profile(f).non_isolated_exclusion() is None  # b has no preimage
 
 
 def test_two_fixed_point_instance_excludes_odd_orders():
     # two non-isolated fixed points with singleton tails, tails have preimages
     ground = GroundSet(tuple("abcdef"))
     f = SingleMap(ground, (0, 0, 1, 3, 3, 4))
-    exclusion = non_isolated_exclusion(f)
+    exclusion = fixed_point_profile(f).non_isolated_exclusion()
     assert exclusion == OrderExclusion(1, 2)
     assert exclusion.excludes(3) and exclusion.excludes(5)
     assert not exclusion.excludes(2)
@@ -110,7 +108,8 @@ def test_exclusion_monotone_within_residue_pattern():
 def test_joint_soundness_against_oracle():
     for seed in range(120):
         f = random_single_map(5, seed=seed)
-        for exclusion in (rice_exclusion(f), non_isolated_exclusion(f)):
+        prof = fixed_point_profile(f)
+        for exclusion in (prof.rice_exclusion(), prof.non_isolated_exclusion()):
             if exclusion is None:
                 continue
             for n in (2, 3, 5):

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from iterroot.core import equals, iterate_map, profile
+from iterroot.core import iterate, profile
 from iterroot.instances import (
     InstanceSpec,
     build,
@@ -55,8 +55,8 @@ def test_f2_rejects_depth_below_two():
 def test_fig67_is_a_fourth_root_pair():
     f, g = fig67()
     assert f.ground.size == 20
-    assert iterate_map(g, 4) == f
-    assert iterate_map(g, 2) != f
+    assert iterate(g, 4) == f
+    assert iterate(g, 2) != f
 
 
 def test_named_builders_keep_their_labels_and_rows():
@@ -82,10 +82,10 @@ def test_cyclic_power_translation_and_multiplication():
 
 
 def test_random_generators_are_seed_deterministic():
-    assert equals(random_multifunction(5, seed=9), random_multifunction(5, seed=9))
+    assert random_multifunction(5, seed=9) == random_multifunction(5, seed=9)
     assert random_single_map(5, seed=9) == random_single_map(5, seed=9)
     assert random_permutation(5, seed=9) == random_permutation(5, seed=9)
-    assert not equals(random_multifunction(5, seed=9), random_multifunction(5, seed=10))
+    assert random_multifunction(5, seed=9) != random_multifunction(5, seed=10)
 
 
 def test_random_multifunction_honours_out_degree_and_density():
@@ -105,15 +105,14 @@ def test_random_permutation_is_a_bijection():
 
 
 def test_build_dispatches_all_names():
-    assert equals(build(InstanceSpec("f1", depth=4)), f1(4))
-    assert equals(build(InstanceSpec("f2")), f2(3))
-    assert equals(build(InstanceSpec("f2", depth=4)), f2(4))
+    assert build(InstanceSpec("f1", depth=4)) == f1(4)
+    assert build(InstanceSpec("f2")) == f2(3)
+    assert build(InstanceSpec("f2", depth=4)) == f2(4)
     assert build(InstanceSpec("fig67-f")) == fig67()[0]
     assert build(InstanceSpec("fig67-g")) == fig67()[1]
     assert build(InstanceSpec("cyclic-power", modulus=5, exponent=2,
                               variant="mul")) == cyclic_power(5, 2, "mul")
-    assert equals(build(InstanceSpec("random-mf", size=4, seed=1)),
-                  random_multifunction(4, seed=1))
+    assert build(InstanceSpec("random-mf", size=4, seed=1)) == random_multifunction(4, seed=1)
     assert build(InstanceSpec("random-map", size=4, seed=1)) == random_single_map(4, seed=1)
 
 

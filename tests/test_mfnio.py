@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iterroot.core import GroundSet, Multifunction, SingleMap, as_single_map, bits, equals
+from iterroot.core import GroundSet, Multifunction, SingleMap, as_single_map, bits
 from iterroot.instances import f1, f2, fig67, random_multifunction, random_single_map
 from iterroot.mfnio import ParseError, parse, serialize
 
@@ -64,18 +64,18 @@ def test_serialize_omits_empty_images_and_is_canonical():
     F = parse("points a b c\nb -> c a\n")
     out = serialize(F)
     assert out == "points a b c\nb -> a c\n"  # targets in declaration order
-    assert equals(parse(out), F)
+    assert parse(out) == F
 
 
 def test_round_trip_random_multifunctions():
     for seed in range(25):
         F = random_multifunction(6, seed=seed)
-        assert equals(parse(serialize(F)), F)
+        assert parse(serialize(F)) == F
 
 
 def test_round_trip_named_instances():
     for F in (f1(3), f2(3)):
-        assert equals(parse(serialize(F)), F)
+        assert parse(serialize(F)) == F
     f, g = fig67()
     assert parse(serialize(f)) == f
     assert parse(serialize(g)) == g

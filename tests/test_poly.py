@@ -76,6 +76,19 @@ def test_primes_and_primality():
     assert not is_prime(2**89 - 1)
 
 
+def test_is_prime_runs_only_the_bases_its_n_needs(monkeypatch):
+    # 1,000,003 lies between psi_1 and psi_2, so bases 2 and 3 decide it
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(iterroot.poly, "pow", counting_pow, raising=False)
+    assert is_prime(1_000_003)
+    assert len(calls) == 2
+
+
 def test_is_prime_equals_trial_division_up_to_ten_to_the_five():
     assert [n for n in range(10**5 + 1) if is_prime(n)] == _primes_upto(10**5)
 

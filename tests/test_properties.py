@@ -6,7 +6,6 @@ from iterroot.core import (
     Multifunction,
     SingleMap,
     compose,
-    equals,
     invert,
     iterate,
 )
@@ -25,7 +24,7 @@ def multifunctions(draw, min_size=1, max_size=5):
 
 @given(multifunctions())
 def test_serialization_round_trip(F):
-    assert equals(parse(serialize(F)), F)
+    assert parse(serialize(F)) == F
 
 
 @st.composite
@@ -45,13 +44,13 @@ def single_maps(draw, max_size=6):
 @given(single_maps())
 def test_invert_of_a_map_is_invert_of_its_embedding(f):
     inv = invert(f)
-    assert equals(inv, invert(f.as_multifunction()))
+    assert inv == invert(f.as_multifunction())
     assert all(inv.images[y] >> x & 1 for x, y in enumerate(f.image))
 
 
 @given(multifunctions())
 def test_invert_is_involutive(F):
-    assert equals(invert(invert(F)), F)
+    assert invert(invert(F)) == F
 
 
 @settings(max_examples=50)
@@ -60,7 +59,7 @@ def test_compose_associative(F, data):
     size = F.ground.size
     G = data.draw(multifunctions(min_size=size, max_size=size))
     H = data.draw(multifunctions(min_size=size, max_size=size))
-    assert equals(compose(F, compose(G, H)), compose(compose(F, G), H))
+    assert compose(F, compose(G, H)) == compose(compose(F, G), H)
 
 
 @settings(max_examples=50)
@@ -78,7 +77,7 @@ def test_path_matrix_composition_law(F, k, l):
 @settings(max_examples=50)
 @given(multifunctions(max_size=4), st.integers(0, 2), st.integers(0, 2))
 def test_iterate_additive(F, m, n):
-    assert equals(iterate(F, m + n), compose(iterate(F, m), iterate(F, n)))
+    assert iterate(F, m + n) == compose(iterate(F, m), iterate(F, n))
 
 
 @st.composite

@@ -5,7 +5,6 @@ from iterroot.core import (
     Multifunction,
     SingleMap,
     compose,
-    equals,
     identity_map,
     identity_multifunction,
     iterate,
@@ -21,8 +20,7 @@ from iterroot.pullback import (
 
 def test_pullback_of_identity_is_identity():
     ground = GroundSet(("a", "b", "c"))
-    assert equals(pullback_of(identity_map(ground)),
-                  identity_multifunction(ground))
+    assert pullback_of(identity_map(ground)) == identity_multifunction(ground)
 
 
 def test_pullback_of_translation_is_inverse_translation():
@@ -81,8 +79,7 @@ def test_pullback_contravariance():
     for seed in range(20):
         f = random_single_map(5, seed=seed)
         g = random_single_map(5, seed=seed + 500)
-        assert equals(pullback_of(compose(f, g)),
-                      compose(pullback_of(g), pullback_of(f)))
+        assert pullback_of(compose(f, g)) == compose(pullback_of(g), pullback_of(f))
 
 
 def test_decomposition_of_translation_pullback():

@@ -22,7 +22,6 @@ from iterroot.core import (
     identity_map,
     identity_multifunction,
     iterate,
-    iterate_map,
     profile,
 )
 from iterroot.instances import (
@@ -60,9 +59,9 @@ def test_fig67_single_map_fourth_root_found_and_valid():
     f, g = fig67()
     result = find_single_root(f, 4, max_points=20)
     assert result.found
-    assert iterate_map(result.witness, 4) == f
+    assert iterate(result.witness, 4) == f
     # the canonical witness need not be the hand-built g, but both are roots
-    assert iterate_map(g, 4) == f
+    assert iterate(g, 4) == f
 
 
 def test_f1_certificate_confirmed_by_constrained_exhaustion():
@@ -94,7 +93,7 @@ def test_five_cycle_square_root_is_a_five_cycle():
     assert result.found
     g = result.witness
     assert sorted(g.image) == [0, 1, 2, 3, 4]
-    assert iterate_map(g, 2) == f
+    assert iterate(g, 2) == f
 
 
 def _naive_squares(size):
@@ -119,8 +118,7 @@ def test_search_complete_against_naive_enumeration_on_two_points():
 
 
 def equals_square(G, F):
-    from iterroot.core import equals
-    return equals(iterate(G, 2), F)
+    return iterate(G, 2) == F
 
 
 def test_search_complete_against_naive_enumeration_on_three_points():
@@ -300,7 +298,7 @@ def test_single_root_of_identity_orders_two_and_three():
     for n in (2, 3):
         result = find_single_root(ident, n)
         assert result.found
-        assert iterate_map(result.witness, n) == ident
+        assert iterate(result.witness, n) == ident
 
 
 def test_single_and_multi_search_agree_on_total_maps():
@@ -313,7 +311,7 @@ def test_single_and_multi_search_agree_on_total_maps():
         size, n = rng.randint(3, 8), rng.randint(2, 4)
         f = (random_single_map, random_permutation)[trial % 2](size, rng.randrange(2**31))
         if trial % 3 == 0:  # a planted root makes witnesses common
-            f = iterate_map(f, n)
+            f = iterate(f, n)
         budget = 40 if trial % 4 == 3 else 20_000
         single = find_single_root(f, n, budget=budget)
         multi = find_multi_root(f.as_multifunction(), n,
@@ -529,7 +527,7 @@ def test_incremental_single_search_explores_the_reference_nodes():
         size = rng.randint(3, 8)
         n = rng.randint(2, 4)
         if trial % 3 == 0:  # a planted root makes witnesses common
-            f = iterate_map(random_single_map(size, rng.randrange(2**31)), n)
+            f = iterate(random_single_map(size, rng.randrange(2**31)), n)
         else:
             f = random_single_map(size, rng.randrange(2**31))
         budget = 20_000
@@ -664,7 +662,7 @@ def test_walks_cut_at_their_first_repeat_match_the_references():
         make = (random_single_map, random_permutation)[trial % 2]
         f = make(size, rng.randrange(2**31))
         if trial % 3 == 0:  # a planted root makes witnesses common
-            f = iterate_map(f, n)
+            f = iterate(f, n)
         got = _summary(find_single_root(f, n, budget=20_000), "single")
         assert got == _reference_single(f, n, 20_000), (f.image, n)
         constraint = classes[trial % len(classes)]
@@ -686,8 +684,8 @@ def test_results_repeat_with_period_60_past_order_25():
               for _ in range(2)]
     for n in range(26, 41):
         for root in maps:
-            assert iterate_map(root, n) == iterate_map(root, n + 60)
-            for f in (root, iterate_map(root, n)):
+            assert iterate(root, n) == iterate(root, n + 60)
+            for f in (root, iterate(root, n)):
                 assert (_summary(find_single_root(f, n), "single")
                         == _summary(find_single_root(f, n + 60), "single")), (f.image, n)
         for root in multis:
