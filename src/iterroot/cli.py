@@ -198,15 +198,11 @@ def cmd_poly(args) -> int:
     advice = poly.advise(polynomial, args.order)
     findings, lines = [], []
     for f in advice.findings:
-        if isinstance(f.excluded, frozenset):
-            excluded = {"orders": sorted(f.excluded)}
-            desc = "orders " + ", ".join(map(str, excluded["orders"]))
-        else:
-            excluded = {"lower_bound": f.excluded.lower_bound,
-                        "forbidden_divisor_max": f.excluded.forbidden_divisor_max}
-            desc = f.excluded.describe()
+        e = f.excluded
+        excluded = {"orders": sorted(e.orders)} if e.orders is not None else {
+            "lower_bound": e.lower_bound, "forbidden_divisor_max": e.forbidden_divisor_max}
         findings.append({"rule": f.rule, "citation": f.citation, "excluded": excluded})
-        lines.append(f"{f.rule}: excludes {desc} [{f.citation}]")
+        lines.append(f"{f.rule}: excludes {e.describe()} [{f.citation}]")
     if args.json:
         print(json.dumps({"degree": polynomial.degree, "order": args.order,
                           "excludes_order": advice.excludes_order(args.order),

@@ -48,13 +48,16 @@ class FixedPointProfile:
 
 @dataclass(frozen=True)
 class OrderExclusion:
-    """Orders n > lower_bound are excluded, optionally only when no
-    m in [2, forbidden_divisor_max] divides n."""
+    """Orders n > lower_bound are excluded, optionally only when no m in
+    [2, forbidden_divisor_max] divides n; or, when given, exactly ``orders``."""
 
     lower_bound: int
     forbidden_divisor_max: int | None
+    orders: frozenset[int] | None = None
 
     def excludes(self, n: int) -> bool:
+        if self.orders is not None:
+            return n in self.orders
         if n <= self.lower_bound:
             return False
         if self.forbidden_divisor_max is None:
@@ -62,6 +65,8 @@ class OrderExclusion:
         return all(n % m for m in range(2, self.forbidden_divisor_max + 1))
 
     def describe(self) -> str:
+        if self.orders is not None:
+            return "orders " + ", ".join(map(str, sorted(self.orders)))
         if self.forbidden_divisor_max is None:
             return f"all orders n > {self.lower_bound}"
         return (f"orders n > {self.lower_bound} with no divisor in "

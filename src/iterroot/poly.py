@@ -124,16 +124,14 @@ def first_solar(count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule that fired; ``excluded`` is either an order window or an explicit set."""
+    """One rule that fired, with the orders it excludes."""
 
     rule: str
-    excluded: OrderExclusion | frozenset[int]
+    excluded: OrderExclusion
     citation: str
 
     def excludes(self, n: int) -> bool:
-        if isinstance(self.excluded, OrderExclusion):
-            return self.excluded.excludes(n)
-        return n in self.excluded
+        return self.excluded.excludes(n)
 
 
 @dataclass(frozen=True)
@@ -250,12 +248,12 @@ def advise(poly: ComplexPolynomial, n: int) -> PolyAdvice:
 
     if is_prime(n) and n > d:
         findings.append(Finding(
-            "PrimeOrder", frozenset({n}),
+            "PrimeOrder", OrderExclusion(n - 1, None, frozenset({n})),
             "Choczewski & Kuczma 1992, Thm. 1"))
 
     if is_prime(d) and is_shifted_monomial(poly):
         findings.append(Finding(
-            "ShiftedMonomialPrime", frozenset({d}),
+            "ShiftedMonomialPrime", OrderExclusion(d - 1, None, frozenset({d})),
             "non-isolated fixed-point divisibility rule"))
 
     return PolyAdvice(poly, n, tuple(findings))

@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from copy import copy
+from itertools import islice, tee
 
 from .core import Multifunction, SingleMap, _count, bits, invert, iterate, union_of
 
@@ -168,21 +169,13 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
     in_bound = constraint.bound if constraint.variant == MAX_IN_VARIANT else None
     fimgs = F.images
     fpreds = invert(F).images
-    # per candidate m: its points, and F(m) for the commutation check at i.  The
-    # table grows only when a depth reads past its end, so it holds at most about
-    # twice the entries any depth has read; a depth that reads entry j has counted
+    # per candidate m: its points, and F(m) for the commutation check at i.  Each
+    # depth reads its own copy of one tee, which builds an entry when a depth first
+    # reads it and keeps it for the rest, so the table holds exactly the entries
+    # the furthest-reading depth has read; a depth that reads entry j has counted
     # j + 1 nodes, so none reads past entry ``budget``
-    source = islice(_candidates(size, constraint), budget + 1)
-    table: list[tuple[int, tuple[int, ...], int]] = []
-    spent = False  # whether the table holds every entry of ``source``
-
-    def grow() -> None:
-        # doubling: a search grows the table about log2(entries read) times
-        nonlocal spent
-        before = len(table)
-        table.extend((m, tuple(bits(m)), union_of(fimgs, m))
-                     for m in islice(source, before + 1))
-        spent = len(table) <= 2 * before  # the batch came short: the source is used up
+    table = tee((m, tuple(bits(m)), union_of(fimgs, m))
+                for m in islice(_candidates(size, constraint), budget + 1))[0]
 
     imgs = [0] * size
     preds = [0] * size  # at depth i, preds[y] holds the points x < i with y in imgs[x]
@@ -243,35 +236,30 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
                 break
             reach |= frontier
         affected = tuple(bits(reach))
-        read = 0  # the table entries this depth has tried
-        while True:
-            for m, points, fg in islice(table, read, None) if read else table:
-                nodes += 1
-                if nodes > budget:
-                    raise _BudgetExceeded
-                if m & ~upper or lower & ~m:
-                    continue
-                gf = gf_rest | m if loops else gf_rest
-                if (gf != fg) if fi_decided else (gf & ~fg):
-                    continue
-                if in_bound is not None and any(preds[y].bit_count() >= in_bound
-                                                for y in points):
-                    continue
-                imgs[i] = m
-                for x in affected:
-                    if not orbit_fits(x, decided):
-                        break
-                else:
-                    for y in points:
-                        preds[y] |= bit
-                    if rec(i + 1):
-                        return True
-                    for y in points:
-                        preds[y] ^= bit
-            if spent:
-                return False
-            read = len(table)
-            grow()
+        for m, points, fg in copy(table):
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExceeded
+            if m & ~upper or lower & ~m:
+                continue
+            gf = gf_rest | m if loops else gf_rest
+            if (gf != fg) if fi_decided else (gf & ~fg):
+                continue
+            if in_bound is not None and any(preds[y].bit_count() >= in_bound
+                                            for y in points):
+                continue
+            imgs[i] = m
+            for x in affected:
+                if not orbit_fits(x, decided):
+                    break
+            else:
+                for y in points:
+                    preds[y] |= bit
+                if rec(i + 1):
+                    return True
+                for y in points:
+                    preds[y] ^= bit
+        return False
 
     try:
         return (Multifunction(F.ground, tuple(imgs)) if rec(0) else None), nodes

@@ -78,6 +78,16 @@ def test_exclusion_describes_its_window():
         "orders n > 2 with no divisor in [2, 4]"
 
 
+def test_an_explicit_exclusion_excludes_exactly_its_orders():
+    exclusion = OrderExclusion(4, None, frozenset({7, 5}))
+    assert exclusion.describe() == "orders 5, 7"
+    assert exclusion.excludes(5) and exclusion.excludes(7)
+    assert not exclusion.excludes(6) and not exclusion.excludes(11)
+    # the two-field forms are unchanged by the third field's default
+    assert OrderExclusion(8, None) == OrderExclusion(8, None, None)
+    assert OrderExclusion(2, 4) != OrderExclusion(2, 4, frozenset({5}))
+
+
 def test_non_isolated_exclusion_needs_two_fixed_points():
     assert fixed_point_profile(three_point_collapse()).non_isolated_exclusion() is None
 

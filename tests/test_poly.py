@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iterroot
+from iterroot.fixedpoint import OrderExclusion
 from iterroot.poly import (
     ComplexPolynomial,
     advise,
@@ -431,7 +432,7 @@ def test_advise_prime_order_above_degree():
     advice = advise(poly(0, 0, 1), 10**18 + 9)
     assert time.perf_counter() - start < 1.0
     assert [f.excluded for f in advice.findings if f.rule == "PrimeOrder"] == [
-        frozenset({10**18 + 9})]
+        OrderExclusion(10**18 + 8, None, frozenset({10**18 + 9}))]
 
 
 def test_advise_cubic_with_few_fixed_points():

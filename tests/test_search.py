@@ -223,6 +223,24 @@ def test_the_budget_bounds_the_candidate_table(tmp_path):
         find_multi_root(random_multifunction(6, 0), 2, max_points=5)
 
 
+def test_the_candidate_table_is_built_only_as_far_as_read(monkeypatch):
+    # depth i of the identity's square root reads the empty image and the
+    # singletons up to {i}: i + 2 nodes, and 21 masks in all for 20 points
+    from iterroot import search
+    candidates, pulled = search._candidates, []
+
+    def counting(size, constraint):
+        for m in candidates(size, constraint):
+            pulled.append(m)
+            yield m
+
+    monkeypatch.setattr(search, "_candidates", counting)
+    ground = GroundSet(tuple(f"p{i}" for i in range(20)))
+    result = find_multi_root(identity_multifunction(ground), 2)
+    assert (result.outcome, result.nodes_explored) == ("witness", 230)
+    assert len(pulled) == 21
+
+
 def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
     made = _run_cli("instance", "cyclic-power", "--modulus", "1200", "--exponent", "0")
     assert made.returncode == 0, made.stderr
