@@ -3,9 +3,14 @@
 The search assigns images point by point in index order; per point the
 candidate image sets are tried in size-then-lexicographic order over bitmask
 values, so the first witness found is the canonically least one and results
-are deterministic.  Pruning uses two sound filters: decided parts of the
-n-step orbit must stay inside the target image (with equality once fully
-decided), and any root must commute with the target.
+are deterministic.  Pruning uses sound filters only, which cut subtrees that
+hold no root: decided parts of the n-step orbit must stay inside the target
+image (with equality once fully decided), and any root must commute with the
+target.  A root of a permutation f is a bijection, so it maps each f-cycle
+onto an f-cycle of the same length: the single-map search then tries at
+point i only the values that no earlier point took and whose f-cycle is as
+long as i's.  Before that, f's cycle type decides whether f has a root at
+all, and a search refused by it explores 0 nodes.
 
 The checks are incremental.  Depth i is reached only after the points
 0..i-1 passed every check, and a check can change only if it involves the
@@ -35,7 +40,7 @@ and reads step n off the cycle.  What a node costs is thus bounded by the
 ground, not by n.
 
 A node is one candidate image tried at one point, counted whether or not
-commutation allows it; the single-map search counts the values it excludes
+the filters allow it; the single-map search counts the values it excludes
 without visiting them.  A search therefore explores exactly the nodes that
 a full re-check of every decided point at every node would explore.
 """
@@ -45,6 +50,7 @@ import time
 from dataclasses import dataclass, field
 from copy import copy
 from itertools import islice, tee
+from math import gcd
 
 from .core import Multifunction, SingleMap, _count, bits, invert, iterate, union_of
 
@@ -122,7 +128,8 @@ def _candidates(size: int, constraint: RootConstraint):
 def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstraint | None,
             budget: int, max_points: int | None, engine) -> SearchResult:
     """Check the request, then run ``engine(n, budget)``, which returns ``(witness
-    or None, nodes)`` or raises _BudgetExceeded on node ``budget + 1``; a witness
+    or None, nodes)`` or raises _BudgetExceeded on node ``budget + 1``, which it
+    does not explore, so a budget verdict reports ``budget`` nodes; a witness
     is checked by iterating it, apart from the engine's incremental checks.  The
     engines recurse once per point, so a ground deeper than the caller's stack
     allows is refused when the recursion overflows, not by a fixed size."""
@@ -135,7 +142,7 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
     try:
         witness, nodes = engine(n, budget)
     except _BudgetExceeded:
-        return SearchResult(n, constraint, "budget", None, budget + 1, budget,
+        return SearchResult(n, constraint, "budget", None, budget, budget,
                             time.perf_counter() - start)
     except RecursionError:
         raise ValueError(f"ground of {size} points is deeper than the search can recurse") from None
@@ -267,28 +274,70 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
         del rec  # rec's closure holds rec: break the cycle so the lists are freed now
 
 
+def _failing_cycle_length(counts: dict[int, int], n: int) -> int | None:
+    """The first cycle length l of ``counts`` ({l: number of l-cycles}) whose
+    count is not a multiple of a_l(n), the largest divisor of n whose primes
+    all divide l, or None; a permutation with these counts has an n-th root
+    iff it is None.  Under g^n a g-cycle of length L splits into gcd(L, n)
+    cycles of length L / gcd(L, n), so the l-cycles come from g-cycles of
+    length l * d with d | n and gcd(l, n / d) = 1: these d are the divisors of
+    n that a_l(n) divides, a_l(n) among them."""
+    for length, count in counts.items():
+        rest = n  # n with the primes of length divided out, so a_l(n) = n // rest
+        while (common := gcd(rest, length)) > 1:
+            rest //= common
+        if count % (n // rest):
+            return length
+    return None
+
+
 def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None, int]:
     size = f.ground.size
     fv = f.image
+    full = (1 << size) - 1
+    # within[i]: the values g(i) may take whatever g does elsewhere; bijective:
+    # whether a root takes each value at most once
+    within, bijective = [full] * size, len(set(fv)) == size
+    if bijective:
+        # a root of a permutation is a bijection that commutes with it, so it
+        # maps each f-cycle onto an f-cycle of the same length
+        length_of = [0] * size  # the length of each point's f-cycle
+        by_length = {}  # length -> the points on the f-cycles of that length
+        for x in range(size):
+            if not length_of[x]:
+                cycle, y = 1 << x, fv[x]
+                while y != x:
+                    cycle |= 1 << y
+                    y = fv[y]
+                length = cycle.bit_count()
+                by_length[length] = by_length.get(length, 0) | cycle
+                for y in bits(cycle):
+                    length_of[y] = length
+        if _failing_cycle_length({length: points.bit_count() // length
+                                  for length, points in by_length.items()}, n) is not None:
+            return None, 0
+        within = [by_length[length] for length in length_of]
     inverse = invert(f)
     fpreds = inverse.images  # fpreds[v]: the points x with f(x) = v
     early = [tuple(x for x in row if x < v) for v, row in enumerate(inverse.rows)]
     fixed = sum(1 << x for x in range(size) if fv[x] == x)
-    full = (1 << size) - 1
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
 
     g = [0] * size
     preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
+    free = full  # at depth i, the values no g(x) with x < i took (all, unless bijective)
     nodes = 0
 
     def rec(i: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, free
         if i == size:
             return True
         bit = 1 << i
         # commutation f(g(x)) = g(f(x)) at the earlier x with f(x) = i fixes
-        # g(i) = f(g(x)), and at i itself it fixes f(g(i)) once f(i) is decided
-        allowed = full
+        # g(i) = f(g(x)), and at i itself it fixes f(g(i)) once f(i) is decided;
+        # on a permutation, f(g(i)) = g(f(i)) then lies on an f-cycle as long
+        # as i's, and so does g(i), so within[i] matters only while f(i) is not
+        allowed = free
         for x in early[i]:
             allowed &= 1 << fv[g[x]]
         fi = fv[i]
@@ -296,6 +345,8 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             allowed &= fpreds[g[fi]]
         elif fi == i:
             allowed &= fixed
+        else:
+            allowed &= within[i]
         last = -1  # every value v counts as a node, visited or not
         if allowed:
             # ends[n - j] is where step j of the walk from i must end; step n ends
@@ -356,8 +407,12 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                     if cur != ends[t]:
                         continue
                 preds[v] |= bit
+                if bijective:
+                    free ^= low
                 if rec(i + 1):
                     return True
+                if bijective:
+                    free ^= low
                 preds[v] ^= bit
         nodes += size - 1 - last
         if nodes > budget:

@@ -107,6 +107,16 @@ def test_search_budget_exit_code(write, capsys):
     assert out.strip() == "budget"
 
 
+@pytest.mark.parametrize("value", [f1(3), fig67()[0]], ids=["multi", "single"])
+def test_search_budget_of_one_reports_one_node(write, capsys, value):
+    # the search stops on the node past its budget, before exploring it
+    path = write("target.mfn", value)
+    code, out, _ = run(capsys, "search", path, "--order", "2", "--budget", "1", "--json")
+    assert code == 3
+    assert json.loads(out) == {"nodes_explored": "1", "order": 2, "outcome": "budget",
+                               "witness": None}
+
+
 def test_search_conflicting_constraints_rejected(write, capsys):
     path = write("f1.mfn", f1(3))
     code, _, err = run(capsys, "search", path, "--order", "2",

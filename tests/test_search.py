@@ -2,6 +2,7 @@ import collections
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -171,12 +172,15 @@ _FOUR_CYCLE = SingleMap(GroundSet(tuple("abcd")), (1, 2, 3, 0))
 @pytest.mark.parametrize("run, outcome", [
     (lambda: find_single_root(fig67()[0], 4, budget=50, max_points=20), "budget"),
     (lambda: find_single_root(fig67()[0], 4, max_points=20), "witness"),
-    (lambda: find_single_root(_FOUR_CYCLE, 2), "exhausted"),
+    # x -> 2x mod 8 is no permutation, so its search runs where a cycle type
+    # would refuse the four-cycle at once
+    (lambda: find_single_root(cyclic_power(8, 2, "mul"), 2), "exhausted"),
+    (lambda: find_single_root(cyclic_power(5, 2), 2), "witness"),
     (lambda: find_multi_root(random_multifunction(5, seed=123), 3, budget=50), "budget"),
     (lambda: find_multi_root(identity_multifunction(GroundSet(tuple("abc"))), 2), "witness"),
     (lambda: find_multi_root(_FOUR_CYCLE.as_multifunction(), 2,
                              max_out_degree(1, require_total_domain=True)), "exhausted"),
-], ids=["single-budget", "single-witness", "single-exhausted",
+], ids=["single-budget", "single-witness", "single-exhausted", "single-permutation-witness",
         "multi-budget", "multi-witness", "multi-exhausted"])
 def test_a_search_leaves_no_cyclic_garbage(run, outcome):
     # a search's lists must be freed when it returns: left in a reference
@@ -211,13 +215,13 @@ def test_the_budget_bounds_the_candidate_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (result.outcome, result.nodes_explored) == ("budget", 1001)
+    assert (result.outcome, result.nodes_explored) == ("budget", 1000)
     assert peak < 4 * 2**20
     path = tmp_path / "random33.mfn"
     path.write_text(serialize(F), encoding="utf-8")
     proc = _run_cli("search", str(path), "--order", "2", "--budget", "1000", "--json")
     assert proc.returncode == 3, proc.stderr
-    assert json.loads(proc.stdout)["nodes_explored"] == "1001"
+    assert json.loads(proc.stdout)["nodes_explored"] == "1000"
     # a ground is refused by its size only when the caller asks for it
     with pytest.raises(ValueError, match="ground of 6 points exceeds max_points=5"):
         find_multi_root(random_multifunction(6, 0), 2, max_points=5)
@@ -280,14 +284,18 @@ def test_a_request_out_of_memory_exits_2_with_one_line(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
-@pytest.mark.parametrize("extra, nodes", [((), "190"), (("--max-out", "1"), "228")],
-                         ids=["single", "multi-max-out-1"])
-def test_a_large_order_costs_what_a_small_one_does(tmp_path, extra, nodes):
+@pytest.mark.parametrize("instance, extra, nodes", [
+    # x -> 2x mod 8 is no permutation, so its cycle type settles nothing and the
+    # single-map search walks; the 5-cycle x -> x + 2 mod 5 goes to the multi-map one
+    (("--modulus", "8", "--exponent", "2", "--variant", "mul"), (), "280"),
+    (("--modulus", "5", "--exponent", "2"), ("--max-out", "1"), "228"),
+], ids=["single", "multi-max-out-1"])
+def test_a_large_order_costs_what_a_small_one_does(tmp_path, instance, extra, nodes):
     # the walks stop at their first repeat, so an order of ten million explores
     # the nodes of orders 40-1000 at about their cost
-    made = _run_cli("instance", "cyclic-power", "--modulus", "5", "--exponent", "2")
+    made = _run_cli("instance", "cyclic-power", *instance)
     assert made.returncode == 0, made.stderr
-    path = tmp_path / "cp5.mfn"
+    path = tmp_path / "target.mfn"
     path.write_text(made.stdout, encoding="utf-8")
     start = time.perf_counter()
     proc = _run_cli("search", str(path), "--order", "10000000", *extra, "--json")
@@ -323,7 +331,9 @@ def test_single_and_multi_search_agree_on_total_maps():
     # a total map's roots are the multifunction roots of out-degree at most one with
     # a total domain, tried in the same order, so the multi-map engine checks the
     # single-map engine's outcome, node count and witness; a small budget on every
-    # fourth request checks where both stop
+    # fourth request checks where both stop.  On a permutation only the single-map
+    # engine prunes by cycle type and bijectivity, so there it may explore fewer
+    # nodes, and the multi-map engine checks its outcome and witness where it decides
     rng = random.Random(20261019)
     for trial in range(400):
         size, n = rng.randint(3, 8), rng.randint(2, 4)
@@ -334,8 +344,13 @@ def test_single_and_multi_search_agree_on_total_maps():
         single = find_single_root(f, n, budget=budget)
         multi = find_multi_root(f.as_multifunction(), n,
                                 max_out_degree(1, require_total_domain=True), budget=budget)
+        if _is_permutation(f):
+            assert single.nodes_explored <= multi.nodes_explored, (f.image, n)
+            if multi.outcome == "budget":
+                continue
+        else:
+            assert single.nodes_explored == multi.nodes_explored, (f.image, n)
         assert single.outcome == multi.outcome, (f.image, n)
-        assert single.nodes_explored == multi.nodes_explored, (f.image, n)
         if single.found:
             assert single.witness.as_multifunction() == multi.witness, (f.image, n)
 
@@ -461,14 +476,50 @@ def _reference_multi(F, n, constraint, budget=DEFAULT_BUDGET):
     try:
         found = rec(0)
     except _ReferenceBudgetExceeded:
-        return "budget", nodes, None
+        return "budget", budget, None
     return ("witness", nodes, tuple(imgs)) if found else ("exhausted", nodes, None)
 
 
-def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None):
+def _is_permutation(f):
+    return sorted(f.image) == list(range(f.ground.size))
+
+
+def _cycle_length(fv, x):
+    length, y = 1, fv[x]
+    while y != x:
+        length, y = length + 1, fv[y]
+    return length
+
+
+def _has_root_by_cycle_type(fv, n):
+    """Whether the permutation ``fv`` has an n-th root: under g^n a g-cycle of
+    length L splits into gcd(L, n) cycles of length L / gcd(L, n), so the
+    l-cycles of fv must split into blocks of d of them, where d divides n and
+    gcd(l, n / d) = 1; each count is tried against every sum of such d."""
+    lengths = collections.Counter(_cycle_length(fv, x) for x in range(len(fv)))
+    for length, points in lengths.items():
+        blocks = [d for d in range(1, n + 1) if n % d == 0 and math.gcd(length, n // d) == 1]
+        sums = {0}
+        for total in range(1, points // length + 1):
+            if any(total - d in sums for d in blocks):
+                sums.add(total)
+        if points // length not in sums:
+            return False
+    return True
+
+
+def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
     """(outcome, nodes, witness image) of the full-rescan single-map searcher;
-    ``visit(g, i)`` is called at each depth i < size that the search reaches."""
+    ``visit(g, i)`` is called at each depth i < size that the search reaches.
+    ``filtered`` gives it the pruning the single-map engine has for a
+    permutation: no search at all when the cycle type rules out a root, and at
+    each node, a value not yet taken whose f-cycle is as long as i's."""
     size = f.ground.size
+    bijective = filtered and _is_permutation(f)
+    if bijective:
+        lengths = [_cycle_length(f.image, x) for x in range(size)]
+        if not _has_root_by_cycle_type(f.image, n):
+            return "exhausted", 0, None
     g = [0] * size
     nodes = 0
 
@@ -483,6 +534,8 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None):
             if nodes > budget:
                 raise _ReferenceBudgetExceeded
             g[i] = v
+            if bijective and (v in g[:i] or lengths[v] != lengths[i]):
+                continue
             if _reference_map_consistent(g, i, f.image, n) and rec(i + 1):
                 return True
         return False
@@ -490,8 +543,22 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None):
     try:
         found = rec(0)
     except _ReferenceBudgetExceeded:
-        return "budget", nodes, None
+        return "budget", budget, None
     return ("witness", nodes, tuple(g)) if found else ("exhausted", nodes, None)
+
+
+def _check_single(f, n, budget):
+    """find_single_root against both references: node for node against the
+    filtered one, and on a permutation, where the filters can prune, against
+    the unfiltered one in outcome and witness wherever that one decides, with
+    no more nodes than it explores."""
+    got = _summary(find_single_root(f, n, budget=budget), "single")
+    assert got == _reference_single(f, n, budget), (f.image, n, budget)
+    if _is_permutation(f):
+        plain = _reference_single(f, n, budget, filtered=False)
+        assert got[1] <= plain[1], (f.image, n, budget)
+        if plain[0] != "budget":
+            assert (got[0], got[2]) == (plain[0], plain[2]), (f.image, n, budget)
 
 
 def _single_cases(fv, n, cases):
@@ -548,15 +615,14 @@ def test_incremental_single_search_explores_the_reference_nodes():
             f = iterate(random_single_map(size, rng.randrange(2**31)), n)
         else:
             f = random_single_map(size, rng.randrange(2**31))
-        budget = 20_000
-        got = _summary(find_single_root(f, n, budget=budget), "single")
-        assert got == _reference_single(f, n, budget), (f.image, n)
+        _check_single(f, n, 20_000)
 
 
 def test_single_search_matches_the_reference_at_every_budget():
     # the single-map search counts the values that commutation excludes in
     # bulk, so an off-by-one there shows only at the budget it would cross;
-    # budget b ends at node b + 1, and b = nodes + 1 lets the search finish.
+    # budget b stops a search at node b + 1, which it reports as b nodes, and
+    # b = nodes + 1 lets the search finish.
     # Seven points would need 1,000-5,000 nodes, and a sweep over every
     # budget costs the square of that.  The maps must meet every shape of
     # check the engine has a branch for.
@@ -574,8 +640,7 @@ def test_single_search_matches_the_reference_at_every_budget():
             f = SingleMap(f.ground, tuple(image))
         nodes = _reference_single(f, n, visit=_single_cases(f.image, n, cases))[1]
         for budget in range(1, nodes + 2):
-            got = _summary(find_single_root(f, n, budget=budget), "single")
-            assert got == _reference_single(f, n, budget), (f.image, n, budget)
+            _check_single(f, n, budget)
     assert set(cases) == {"one point", "one f-image", "several f-images", "cycle jump"}, cases
 
 
@@ -619,31 +684,30 @@ def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
     (lambda: f1(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 6_864),
     (lambda: f1(4), 2, max_out_degree(2, require_total_domain=True), "exhausted", 18_840),
     (lambda: f2(2), 2, max_out_degree(2, require_total_domain=True), "exhausted", 17_358),
-    # bench-shaped permutations: the search workload gives them 30,000 nodes,
-    # which the first two need no more than
-    (lambda: cyclic_power(12, 3, "add"), 2, None, "exhausted", 18_264),
-    (lambda: cyclic_power(13, 3, "add"), 2, None, "witness", 18_616),
-    (lambda: cyclic_power(12, 5, "add"), 2, None, "budget", 30_001),
+    # bench-shaped permutations, which the search workload gives 30,000 nodes: a
+    # 12-cycle has no square root by its cycle type, so it is refused with no
+    # node explored, while the 13-cycle's square root is found at 11,518 of them
+    (lambda: cyclic_power(12, 3, "add"), 2, None, "exhausted", 0),
+    (lambda: cyclic_power(13, 3, "add"), 2, None, "witness", 11_518),
+    (lambda: cyclic_power(12, 5, "add"), 2, None, "exhausted", 0),
 ])
 def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
     target = make()
     size = target.ground.size
-    # a budget verdict reports budget + 1 nodes, so its row names its budget
-    budget = nodes - 1 if outcome == "budget" else DEFAULT_BUDGET
     if constraint is None:
-        result = find_single_root(target, n, budget=budget, max_points=size)
+        result = find_single_root(target, n, max_points=size)
     else:
         result = find_multi_root(target, n, constraint, max_points=size)
     assert (result.outcome, result.nodes_explored) == (outcome, nodes)
 
 
 @pytest.mark.parametrize("modulus, variant, exponent, n, outcome, nodes, witness", [
-    (13, "add", 3, 4, "witness", 28_990, (4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3)),
-    (14, "add", 7, 3, "witness", 14_287, (1, 2, 7, 4, 5, 10, 13, 8, 9, 0, 11, 12, 3, 6)),
-    (15, "add", 2, 4, "witness", 11_055, (8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 5, 6, 7)),
-    (13, "mul", 2, 3, "exhausted", 21_515, None),
-    (15, "mul", 2, 2, "exhausted", 26_085, None),
-    (16, "add", 5, 3, "budget", 30_001, None),
+    (13, "add", 3, 4, "witness", 15_223, (4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3)),
+    (14, "add", 7, 3, "witness", 273, (1, 2, 7, 4, 5, 10, 13, 8, 9, 0, 11, 12, 3, 6)),
+    (15, "add", 2, 4, "witness", 7_800, (8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 5, 6, 7)),
+    (13, "mul", 2, 3, "exhausted", 0, None),
+    (15, "mul", 2, 2, "exhausted", 0, None),
+    (16, "add", 5, 3, "budget", 30_000, None),
 ])
 def test_bench_cyclic_requests_keep_their_nodes_and_witnesses(modulus, variant, exponent, n,
                                                              outcome, nodes, witness):
@@ -681,14 +745,42 @@ def test_walks_cut_at_their_first_repeat_match_the_references():
         f = make(size, rng.randrange(2**31))
         if trial % 3 == 0:  # a planted root makes witnesses common
             f = iterate(f, n)
-        got = _summary(find_single_root(f, n, budget=20_000), "single")
-        assert got == _reference_single(f, n, 20_000), (f.image, n)
+        _check_single(f, n, 20_000)
         constraint = classes[trial % len(classes)]
         root = random_multifunction(size, rng.randrange(2**31), max_out_degree=2, density=0.3)
         F = iterate(root, n) if trial % 2 else random_multifunction(size, rng.randrange(2**31))
         budget = 2_000 if size > 4 else 20_000
         got = _summary(find_multi_root(F, n, constraint, budget=budget), "multi")
         assert got == _reference_multi(F, n, constraint, budget), (F.images, n, constraint)
+
+
+def test_every_small_permutation_keeps_its_outcome_and_witness():
+    # the cycle-type refusal and the two permutation filters may cut only
+    # subtrees without a root: on every permutation of up to 6 points at orders
+    # 2-12 the search must decide as the unfiltered reference does, with its
+    # witness and in no more nodes, and explore exactly the filtered one's nodes
+    for size in range(1, 7):
+        ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+        for image in itertools.permutations(range(size)):
+            for n in range(2, 13):
+                _check_single(SingleMap(ground, image), n, DEFAULT_BUDGET)
+
+
+def test_the_cycle_type_test_names_the_first_failing_length():
+    from iterroot.search import _failing_cycle_length
+    # l-cycles come in blocks of d with d | n and gcd(l, n / d) = 1, checked here
+    # by trying every sum of such blocks
+    for length in range(1, 13):
+        for count in range(7):
+            for n in range(2, 61):
+                fv = [(x + 1) % length + x // length * length for x in range(length * count)]
+                assert (_failing_cycle_length({length: count}, n) is None
+                        ) == _has_root_by_cycle_type(fv, n), (length, count, n)
+    assert _failing_cycle_length({1: 3, 3: 1, 4: 1, 2: 3}, 2) == 4  # 2 fails too
+    # a 5-cycle at order 10^7 would need 5^7 of them; a gcd loop, not n, sets the cost
+    assert _failing_cycle_length({5: 1}, 10**7) == 5
+    assert _failing_cycle_length({5: 5**7}, 10**7) is None
+    assert _failing_cycle_length({2: 1, 3: 1}, 10**18 + 9) is None
 
 
 def test_results_repeat_with_period_60_past_order_25():
