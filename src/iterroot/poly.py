@@ -130,9 +130,6 @@ class Finding:
     excluded: OrderExclusion
     citation: str
 
-    def excludes(self, n: int) -> bool:
-        return self.excluded.excludes(n)
-
 
 @dataclass(frozen=True)
 class PolyAdvice:
@@ -141,7 +138,7 @@ class PolyAdvice:
     findings: tuple[Finding, ...]
 
     def excludes_order(self, n: int) -> bool:
-        return any(f.excludes(n) for f in self.findings)
+        return any(f.excluded.excludes(n) for f in self.findings)
 
 
 _ALL_ORDERS = OrderExclusion(1, None)

@@ -6,10 +6,11 @@ values, so the first witness found is the canonically least one and results
 are deterministic.  Pruning uses sound filters only, which cut subtrees that
 hold no root: decided parts of the n-step orbit must stay inside the target
 image (with equality once fully decided), and any root must commute with the
-target.  A root of a permutation f is a bijection, so it maps each f-cycle
-onto an f-cycle of the same length: the single-map search then tries at
-point i only the values that no earlier point took and whose f-cycle is as
-long as i's.  Before that, f's cycle type decides whether f has a root at
+target.  So a root of a map f sends f's fixed points to fixed points, and a
+root of a permutation f, a bijection, maps each f-cycle onto one as long; the
+fixed points are the 1-cycles, so the single-map search keeps both facts as
+one mask per point, and on a permutation it also skips the values an earlier
+point took.  Before that, f's cycle type decides whether f has a root at
 all, and a search refused by it explores 0 nodes.
 
 The checks are incremental.  Depth i is reached only after the points
@@ -295,14 +296,13 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
     size = f.ground.size
     fv = f.image
     full = (1 << size) - 1
-    # within[i]: the values g(i) may take whatever g does elsewhere; bijective:
-    # whether a root takes each value at most once
-    within, bijective = [full] * size, len(set(fv)) == size
+    # within[i]: the values g(i) may take before commutation at i pins it.  A root
+    # maps fixed points to fixed points, and a root of a permutation, a bijection
+    # (bijective), maps each f-cycle onto one as long: the fixed points are the 1-cycles
+    bijective = len(set(fv)) == size
     if bijective:
-        # a root of a permutation is a bijection that commutes with it, so it
-        # maps each f-cycle onto an f-cycle of the same length
         length_of = [0] * size  # the length of each point's f-cycle
-        by_length = {}  # length -> the points on the f-cycles of that length
+        by_length, cycles = {}, {}  # length -> the points of its f-cycles, and their number
         for x in range(size):
             if not length_of[x]:
                 cycle, y = 1 << x, fv[x]
@@ -311,16 +311,20 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                     y = fv[y]
                 length = cycle.bit_count()
                 by_length[length] = by_length.get(length, 0) | cycle
+                cycles[length] = cycles.get(length, 0) + 1
                 for y in bits(cycle):
                     length_of[y] = length
-        if _failing_cycle_length({length: points.bit_count() // length
-                                  for length, points in by_length.items()}, n) is not None:
+        if _failing_cycle_length(cycles, n) is not None:
             return None, 0
         within = [by_length[length] for length in length_of]
+    else:
+        within, loops = [full] * size, [x for x in range(size) if fv[x] == x]
+        fixed = sum(1 << x for x in loops)
+        for x in loops:
+            within[x] = fixed
     inverse = invert(f)
     fpreds = inverse.images  # fpreds[v]: the points x with f(x) = v
     early = [tuple(x for x in row if x < v) for v, row in enumerate(inverse.rows)]
-    fixed = sum(1 << x for x in range(size) if fv[x] == x)
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
 
     g = [0] * size
@@ -334,19 +338,13 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             return True
         bit = 1 << i
         # commutation f(g(x)) = g(f(x)) at the earlier x with f(x) = i fixes
-        # g(i) = f(g(x)), and at i itself it fixes f(g(i)) once f(i) is decided;
-        # on a permutation, f(g(i)) = g(f(i)) then lies on an f-cycle as long
-        # as i's, and so does g(i), so within[i] matters only while f(i) is not
+        # g(i) = f(g(x)), and at i itself it fixes f(g(i)) = g(f(i)) once f(i)
+        # is decided, which keeps g(i) within[i]; until then within[i] bounds it
         allowed = free
         for x in early[i]:
             allowed &= 1 << fv[g[x]]
         fi = fv[i]
-        if fi < i:
-            allowed &= fpreds[g[fi]]
-        elif fi == i:
-            allowed &= fixed
-        else:
-            allowed &= within[i]
+        allowed &= fpreds[g[fi]] if fi < i else within[i]
         last = -1  # every value v counts as a node, visited or not
         if allowed:
             # ends[n - j] is where step j of the walk from i must end; step n ends

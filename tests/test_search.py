@@ -45,6 +45,7 @@ from iterroot.search import (
     max_in_degree,
     max_out_degree,
 )
+from single_census import census
 
 
 def test_identity_has_identity_square_root():
@@ -284,13 +285,24 @@ def test_a_request_out_of_memory_exits_2_with_one_line(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
-@pytest.mark.parametrize("instance, extra, nodes", [
+_EXHAUSTED_AT_10_7 = {"order": 10_000_000, "outcome": "exhausted", "witness": None}
+
+
+@pytest.mark.parametrize("instance, extra, code, verdict", [
     # x -> 2x mod 8 is no permutation, so its cycle type settles nothing and the
-    # single-map search walks; the 5-cycle x -> x + 2 mod 5 goes to the multi-map one
-    (("--modulus", "8", "--exponent", "2", "--variant", "mul"), (), "280"),
-    (("--modulus", "5", "--exponent", "2"), ("--max-out", "1"), "228"),
-], ids=["single", "multi-max-out-1"])
-def test_a_large_order_costs_what_a_small_one_does(tmp_path, instance, extra, nodes):
+    # single-map search walks; the 13-cycle x -> x + 2 mod 13 passes its cycle-type
+    # test, so the search walks the cycle-length masks to the root x -> x + 8; the
+    # 5-cycle x -> x + 2 mod 5 goes to the multi-map search
+    (("--modulus", "8", "--exponent", "2", "--variant", "mul"), (), 1,
+     {**_EXHAUSTED_AT_10_7, "nodes_explored": "280"}),
+    (("--modulus", "13", "--exponent", "2"), (), 0,
+     {"order": 10_000_000, "outcome": "witness", "nodes_explored": "6942",
+      "witness": "points 0 1 2 3 4 5 6 7 8 9 10 11 12\nkind single\n"
+                 + "".join(f"{x} -> {(x + 8) % 13}\n" for x in range(13))}),
+    (("--modulus", "5", "--exponent", "2"), ("--max-out", "1"), 1,
+     {**_EXHAUSTED_AT_10_7, "nodes_explored": "228"}),
+], ids=["single", "single-permutation", "multi-max-out-1"])
+def test_a_large_order_costs_what_a_small_one_does(tmp_path, instance, extra, code, verdict):
     # the walks stop at their first repeat, so an order of ten million explores
     # the nodes of orders 40-1000 at about their cost
     made = _run_cli("instance", "cyclic-power", *instance)
@@ -300,9 +312,8 @@ def test_a_large_order_costs_what_a_small_one_does(tmp_path, instance, extra, no
     start = time.perf_counter()
     proc = _run_cli("search", str(path), "--order", "10000000", *extra, "--json")
     elapsed = time.perf_counter() - start
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert json.loads(proc.stdout) == {"order": 10_000_000, "outcome": "exhausted",
-                                       "nodes_explored": nodes, "witness": None}
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert json.loads(proc.stdout) == verdict
     assert elapsed < 5.0
 
 
@@ -764,6 +775,14 @@ def test_every_small_permutation_keeps_its_outcome_and_witness():
         for image in itertools.permutations(range(size)):
             for n in range(2, 13):
                 _check_single(SingleMap(ground, image), n, DEFAULT_BUDGET)
+
+
+def test_every_small_map_keeps_its_outcome_witness_and_nodes():
+    # every map of 1-5 points at orders 2-6, hashed result by result: any change
+    # to an outcome, a witness or a node count changes the digest.  CI runs the
+    # same census on the maps of up to 6 points
+    assert census(5) == (17_065, 1_569_997, "bda43b57446fdc19c524da8bbd7e8c8a"
+                                            "e5729fd8d0f269208787ff5376a621b6")
 
 
 def test_the_cycle_type_test_names_the_first_failing_length():
