@@ -111,7 +111,7 @@ def cyclic_power(modulus: int, exponent: int, variant: str = "add") -> SingleMap
 
 
 def _ground(size: int) -> GroundSet:
-    return GroundSet(tuple(f"p{i}" for i in range(size)))
+    return GroundSet(tuple(f"p{i}" for i in range(_count(size, 1, "ground set must be nonempty"))))
 
 
 def random_multifunction(size: int, seed: int, max_out_degree: int | None = None,
@@ -121,7 +121,7 @@ def random_multifunction(size: int, seed: int, max_out_degree: int | None = None
     if max_out_degree is not None:
         max_out_degree = _count(max_out_degree, 0,
                                 f"max_out_degree must be nonnegative, got {max_out_degree}")
-    rng = random.Random(seed)
+    ground, rng = _ground(size), random.Random(seed)
     images = []
     for _ in range(size):
         targets = [y for y in range(size) if rng.random() < density]
@@ -129,7 +129,7 @@ def random_multifunction(size: int, seed: int, max_out_degree: int | None = None
             targets = sorted(rng.sample(targets, max_out_degree))
         images.append(tuple(targets))
     # each row is ascending, distinct and in range, so it needs no normalising
-    return Multifunction._of_rows(_ground(size), tuple(images))
+    return Multifunction._of_rows(ground, tuple(images))
 
 
 def random_single_map(size: int, seed: int) -> SingleMap:
@@ -138,10 +138,9 @@ def random_single_map(size: int, seed: int) -> SingleMap:
 
 
 def random_permutation(size: int, seed: int) -> SingleMap:
-    rng = random.Random(seed)
-    perm = list(range(size))
-    rng.shuffle(perm)
-    return SingleMap(_ground(size), tuple(perm))
+    ground, perm = _ground(size), list(range(size))
+    random.Random(seed).shuffle(perm)
+    return SingleMap(ground, tuple(perm))
 
 
 # name -> (constructor, required spec fields, optional spec fields)

@@ -6,12 +6,12 @@ values, so the first witness found is the canonically least one and results
 are deterministic.  Pruning uses sound filters only, which cut subtrees that
 hold no root: decided parts of the n-step orbit must stay inside the target
 image (with equality once fully decided), and any root must commute with the
-target.  So a root of a map f sends f's fixed points to fixed points, and a
-root of a permutation f, a bijection, maps each f-cycle onto one as long; the
-fixed points are the 1-cycles, so the single-map search keeps both facts as
-one mask per point, and on a permutation it also skips the values an earlier
-point took.  Before that, f's cycle type decides whether f has a root at
-all, and a search refused by it explores 0 nodes.
+target.  So a root g of a map f maps f's periodic points onto them, each
+f-cycle onto one as long, and is a bijection there, as g^n = f is: one rule
+for every map, whose fixed points are its 1-cycles and which on a permutation
+holds at every point.  The single-map search keeps it as one mask per point
+and skips the values an earlier periodic point took.  Before that, the cycle
+type of f on its periodic points may rule out a root: then it explores 0 nodes.
 
 The checks are incremental.  Depth i is reached only after the points
 0..i-1 passed every check, and a check can change only if it involves the
@@ -297,31 +297,34 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
     fv = f.image
     full = (1 << size) - 1
     # within[i]: the values g(i) may take before commutation at i pins it.  A root
-    # maps fixed points to fixed points, and a root of a permutation, a bijection
-    # (bijective), maps each f-cycle onto one as long: the fixed points are the 1-cycles
-    bijective = len(set(fv)) == size
-    if bijective:
-        length_of = [0] * size  # the length of each point's f-cycle
-        by_length, cycles = {}, {}  # length -> the points of its f-cycles, and their number
-        for x in range(size):
-            if not length_of[x]:
-                cycle, y = 1 << x, fv[x]
-                while y != x:
-                    cycle |= 1 << y
-                    y = fv[y]
-                length = cycle.bit_count()
-                by_length[length] = by_length.get(length, 0) | cycle
-                cycles[length] = cycles.get(length, 0) + 1
-                for y in bits(cycle):
-                    length_of[y] = length
-        if _failing_cycle_length(cycles, n) is not None:
-            return None, 0
-        within = [by_length[length] for length in length_of]
-    else:
-        within, loops = [full] * size, [x for x in range(size) if fv[x] == x]
-        fixed = sum(1 << x for x in loops)
-        for x in loops:
-            within[x] = fixed
+    # commutes with f, so it maps f's periodic points (its fixed points are the
+    # 1-cycles) onto them, each f-cycle onto one as long, and is a bijection there,
+    # as g^n = f is; a non-periodic point may go anywhere.  The periodic points are
+    # what is left once the points no remaining point maps to are peeled off
+    hits = [0] * size  # hits[y]: how many points x not peeled off have f(x) = y
+    for y in fv:
+        hits[y] += 1
+    tails = [x for x in range(size) if not hits[x]]
+    for x in tails:  # grows as it is read, and each point is peeled once
+        hits[fv[x]] -= 1
+        if not hits[fv[x]]:
+            tails.append(fv[x])
+    length_of = [0] * size  # the length of each periodic point's f-cycle, else 0
+    by_length, cycles = {0: full}, {}  # length -> the points of its f-cycles, and their number
+    for x in range(size):
+        if hits[x] and not length_of[x]:
+            cycle, y = 1 << x, fv[x]
+            while y != x:
+                cycle |= 1 << y
+                y = fv[y]
+            length = cycle.bit_count()
+            by_length[length] = by_length.get(length, 0) | cycle
+            cycles[length] = cycles.get(length, 0) + 1
+            for y in bits(cycle):
+                length_of[y] = length
+    if _failing_cycle_length(cycles, n) is not None:
+        return None, 0
+    within = [by_length[length] for length in length_of]
     inverse = invert(f)
     fpreds = inverse.images  # fpreds[v]: the points x with f(x) = v
     early = [tuple(x for x in row if x < v) for v, row in enumerate(inverse.rows)]
@@ -329,22 +332,23 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
 
     g = [0] * size
     preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
-    free = full  # at depth i, the values no g(x) with x < i took (all, unless bijective)
     nodes = 0
 
-    def rec(i: int) -> bool:
-        nonlocal nodes, free
+    def rec(i: int, free: int) -> bool:  # free: the values no periodic x < i took as g(x)
+        nonlocal nodes
         if i == size:
             return True
         bit = 1 << i
         # commutation f(g(x)) = g(f(x)) at the earlier x with f(x) = i fixes
         # g(i) = f(g(x)), and at i itself it fixes f(g(i)) = g(f(i)) once f(i)
-        # is decided, which keeps g(i) within[i]; until then within[i] bounds it
-        allowed = free
+        # is decided; a periodic i also takes no value an earlier periodic point took
+        on_cycle = length_of[i]
+        allowed = within[i] & free if on_cycle else within[i]
         for x in early[i]:
             allowed &= 1 << fv[g[x]]
         fi = fv[i]
-        allowed &= fpreds[g[fi]] if fi < i else within[i]
+        if fi < i:
+            allowed &= fpreds[g[fi]]
         last = -1  # every value v counts as a node, visited or not
         if allowed:
             # ends[n - j] is where step j of the walk from i must end; step n ends
@@ -405,12 +409,8 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                     if cur != ends[t]:
                         continue
                 preds[v] |= bit
-                if bijective:
-                    free ^= low
-                if rec(i + 1):
+                if rec(i + 1, free ^ low if on_cycle else free):
                     return True
-                if bijective:
-                    free ^= low
                 preds[v] ^= bit
         nodes += size - 1 - last
         if nodes > budget:
@@ -418,6 +418,6 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
         return False
 
     try:
-        return (SingleMap(f.ground, tuple(g)) if rec(0) else None), nodes
+        return (SingleMap(f.ground, tuple(g)) if rec(0, full) else None), nodes
     finally:
         del rec  # as in _multi_engine

@@ -22,7 +22,8 @@ from iterroot.core import (
     union_of,
 )
 from iterroot.criteria import Rule, check_rule, scan
-from iterroot.instances import cyclic_power, f1, f2, fig67, random_multifunction
+from iterroot.instances import (cyclic_power, f1, f2, fig67, random_multifunction,
+                                random_permutation, random_single_map)
 from iterroot.mfnio import serialize
 from iterroot.paths import count_paths, path_matrix
 from iterroot.poly import ComplexPolynomial, advise, first_solar, solar_criterion
@@ -381,6 +382,12 @@ _COUNTS = {
     "cyclic_power": (lambda q: cyclic_power(q, 2), 1, "modulus must be positive"),
     "random_multifunction": (lambda d: random_multifunction(3, 0, max_out_degree=d), 0,
                              "max_out_degree must be nonnegative, got {}"),
+    "random_multifunction-size": (lambda size: random_multifunction(size, 0), 1,
+                                  "ground set must be nonempty"),
+    "random_single_map": (lambda size: random_single_map(size, 0), 1,
+                          "ground set must be nonempty"),
+    "random_permutation": (lambda size: random_permutation(size, 0), 1,
+                           "ground set must be nonempty"),
 }
 
 

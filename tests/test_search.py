@@ -173,8 +173,8 @@ _FOUR_CYCLE = SingleMap(GroundSet(tuple("abcd")), (1, 2, 3, 0))
 @pytest.mark.parametrize("run, outcome", [
     (lambda: find_single_root(fig67()[0], 4, budget=50, max_points=20), "budget"),
     (lambda: find_single_root(fig67()[0], 4, max_points=20), "witness"),
-    # x -> 2x mod 8 is no permutation, so its search runs where a cycle type
-    # would refuse the four-cycle at once
+    # the periodic part of x -> 2x mod 8 is the fixed point 0, so its search runs
+    # where a cycle type would refuse the four-cycle at once
     (lambda: find_single_root(cyclic_power(8, 2, "mul"), 2), "exhausted"),
     (lambda: find_single_root(cyclic_power(5, 2), 2), "witness"),
     (lambda: find_multi_root(random_multifunction(5, seed=123), 3, budget=50), "budget"),
@@ -289,10 +289,10 @@ _EXHAUSTED_AT_10_7 = {"order": 10_000_000, "outcome": "exhausted", "witness": No
 
 
 @pytest.mark.parametrize("instance, extra, code, verdict", [
-    # x -> 2x mod 8 is no permutation, so its cycle type settles nothing and the
-    # single-map search walks; the 13-cycle x -> x + 2 mod 13 passes its cycle-type
-    # test, so the search walks the cycle-length masks to the root x -> x + 8; the
-    # 5-cycle x -> x + 2 mod 5 goes to the multi-map search
+    # x -> 2x mod 8 has one periodic point, the fixed point 0, so its cycle type
+    # settles nothing and the single-map search walks; the 13-cycle x -> x + 2 mod
+    # 13 passes its cycle-type test, so the search walks the cycle-length masks to
+    # the root x -> x + 8; the 5-cycle x -> x + 2 mod 5 goes to the multi-map search
     (("--modulus", "8", "--exponent", "2", "--variant", "mul"), (), 1,
      {**_EXHAUSTED_AT_10_7, "nodes_explored": "280"}),
     (("--modulus", "13", "--exponent", "2"), (), 0,
@@ -342,9 +342,11 @@ def test_single_and_multi_search_agree_on_total_maps():
     # a total map's roots are the multifunction roots of out-degree at most one with
     # a total domain, tried in the same order, so the multi-map engine checks the
     # single-map engine's outcome, node count and witness; a small budget on every
-    # fourth request checks where both stop.  On a permutation only the single-map
-    # engine prunes by cycle type and bijectivity, so there it may explore fewer
-    # nodes, and the multi-map engine checks its outcome and witness where it decides
+    # fourth request checks where both stop.  Only the single-map engine prunes by
+    # the cycle type of f's periodic points, and that pruning is commutation alone
+    # when the one periodic point is a fixed point; with more of them it may explore
+    # fewer nodes, and the multi-map engine checks its outcome and witness where it
+    # decides
     rng = random.Random(20261019)
     for trial in range(400):
         size, n = rng.randint(3, 8), rng.randint(2, 4)
@@ -355,12 +357,12 @@ def test_single_and_multi_search_agree_on_total_maps():
         single = find_single_root(f, n, budget=budget)
         multi = find_multi_root(f.as_multifunction(), n,
                                 max_out_degree(1, require_total_domain=True), budget=budget)
-        if _is_permutation(f):
+        if len(_periodic_part(f)[0]) == 1:
+            assert single.nodes_explored == multi.nodes_explored, (f.image, n)
+        else:
             assert single.nodes_explored <= multi.nodes_explored, (f.image, n)
             if multi.outcome == "budget":
                 continue
-        else:
-            assert single.nodes_explored == multi.nodes_explored, (f.image, n)
         assert single.outcome == multi.outcome, (f.image, n)
         if single.found:
             assert single.witness.as_multifunction() == multi.witness, (f.image, n)
@@ -491,10 +493,6 @@ def _reference_multi(F, n, constraint, budget=DEFAULT_BUDGET):
     return ("witness", nodes, tuple(imgs)) if found else ("exhausted", nodes, None)
 
 
-def _is_permutation(f):
-    return sorted(f.image) == list(range(f.ground.size))
-
-
 def _cycle_length(fv, x):
     length, y = 1, fv[x]
     while y != x:
@@ -519,17 +517,27 @@ def _has_root_by_cycle_type(fv, n):
     return True
 
 
+def _periodic_part(f):
+    """f's periodic points, the image of f^size, as {point: length of its f-cycle},
+    and f on them as a permutation of 0..len - 1 (the points relabelled in order)."""
+    points = sorted(set(iterate(f, f.ground.size).image))
+    index = {x: k for k, x in enumerate(points)}
+    return ({x: _cycle_length(f.image, x) for x in points},
+            [index[f.image[x]] for x in points])
+
+
 def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
     """(outcome, nodes, witness image) of the full-rescan single-map searcher;
     ``visit(g, i)`` is called at each depth i < size that the search reaches.
-    ``filtered`` gives it the pruning the single-map engine has for a
-    permutation: no search at all when the cycle type rules out a root, and at
-    each node, a value not yet taken whose f-cycle is as long as i's."""
+    ``filtered`` gives it the pruning the single-map engine has on f's periodic
+    points: no search at all when their cycle type rules out a root, and at
+    each node of a periodic i, a value no earlier periodic point took whose
+    f-cycle is as long as i's."""
     size = f.ground.size
-    bijective = filtered and _is_permutation(f)
-    if bijective:
-        lengths = [_cycle_length(f.image, x) for x in range(size)]
-        if not _has_root_by_cycle_type(f.image, n):
+    lengths = {}  # the periodic points' cycle lengths, when filtered
+    if filtered:
+        lengths, perm = _periodic_part(f)
+        if not _has_root_by_cycle_type(perm, n):
             return "exhausted", 0, None
     g = [0] * size
     nodes = 0
@@ -545,7 +553,8 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
             if nodes > budget:
                 raise _ReferenceBudgetExceeded
             g[i] = v
-            if bijective and (v in g[:i] or lengths[v] != lengths[i]):
+            if i in lengths and (lengths.get(v) != lengths[i]
+                                 or any(g[x] == v for x in lengths if x < i)):
                 continue
             if _reference_map_consistent(g, i, f.image, n) and rec(i + 1):
                 return True
@@ -560,16 +569,14 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
 
 def _check_single(f, n, budget):
     """find_single_root against both references: node for node against the
-    filtered one, and on a permutation, where the filters can prune, against
-    the unfiltered one in outcome and witness wherever that one decides, with
-    no more nodes than it explores."""
+    filtered one, and against the unfiltered one in outcome and witness
+    wherever that one decides, with no more nodes than it explores."""
     got = _summary(find_single_root(f, n, budget=budget), "single")
     assert got == _reference_single(f, n, budget), (f.image, n, budget)
-    if _is_permutation(f):
-        plain = _reference_single(f, n, budget, filtered=False)
-        assert got[1] <= plain[1], (f.image, n, budget)
-        if plain[0] != "budget":
-            assert (got[0], got[2]) == (plain[0], plain[2]), (f.image, n, budget)
+    plain = _reference_single(f, n, budget, filtered=False)
+    assert got[1] <= plain[1], (f.image, n, budget)
+    if plain[0] != "budget":
+        assert (got[0], got[2]) == (plain[0], plain[2]), (f.image, n, budget)
 
 
 def _single_cases(fv, n, cases):
@@ -690,8 +697,8 @@ def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
 
 
 @pytest.mark.parametrize("make, n, constraint, outcome, nodes", [
-    (lambda: fig67()[0], 4, None, "witness", 115_878),
-    (lambda: fig67()[0], 5, None, "exhausted", 6_260),
+    (lambda: fig67()[0], 4, None, "witness", 115_858),
+    (lambda: fig67()[0], 5, None, "exhausted", 5_960),
     (lambda: f1(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 6_864),
     (lambda: f1(4), 2, max_out_degree(2, require_total_domain=True), "exhausted", 18_840),
     (lambda: f2(2), 2, max_out_degree(2, require_total_domain=True), "exhausted", 17_358),
@@ -781,8 +788,29 @@ def test_every_small_map_keeps_its_outcome_witness_and_nodes():
     # every map of 1-5 points at orders 2-6, hashed result by result: any change
     # to an outcome, a witness or a node count changes the digest.  CI runs the
     # same census on the maps of up to 6 points
-    assert census(5) == (17_065, 1_569_997, "bda43b57446fdc19c524da8bbd7e8c8a"
-                                            "e5729fd8d0f269208787ff5376a621b6")
+    assert census(5) == (17_065, 850_761, "62e55887e3dca1d90e53851b1fef1d3f"
+                                          "deb76578edc80d8d4b65606108d9a172")
+
+
+def test_a_refusal_by_the_periodic_cycle_type_is_exact():
+    # the search explores 0 nodes exactly when the cycle type of f on its periodic
+    # points, by this file's own divisor loop, rules out a root, and the unfiltered
+    # reference, which knows no cycle type, then exhausts: on every map of 1-4
+    # points and on seeded maps of 5-7 points, at orders 2-6
+    rng = random.Random(20261024)
+    maps = [SingleMap(GroundSet(tuple(f"p{i}" for i in range(size))), image)
+            for size in range(1, 5) for image in itertools.product(range(size), repeat=size)]
+    maps += [random_single_map(rng.randint(5, 7), rng.randrange(2**31)) for _ in range(400)]
+    refusals = 0
+    for f in maps:
+        perm = _periodic_part(f)[1]
+        for n in range(2, 7):
+            refused = find_single_root(f, n, budget=100_000).nodes_explored == 0
+            assert refused != _has_root_by_cycle_type(perm, n), (f.image, n)
+            if refused:
+                refusals += 1
+                assert _reference_single(f, n, filtered=False)[0] == "exhausted", (f.image, n)
+    assert refusals
 
 
 def test_the_cycle_type_test_names_the_first_failing_length():
