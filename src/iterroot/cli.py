@@ -34,7 +34,7 @@ def _load(path: str) -> Multifunction | SingleMap:
             return mfnio.parse(handle.read())
     except OSError as exc:
         raise ValueError(str(exc)) from exc
-    except mfnio.ParseError as exc:
+    except (mfnio.ParseError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -249,20 +249,6 @@ def iterate(F: Multifunction | SingleMap, n: int) -> Multifunction | SingleMap:
 iterate_map = iterate
 
 
-def predecessors(F: Multifunction | SingleMap) -> list[list[int]]:
-    """``preds[y]``, the points x with y in F(x) (with f(x) = y for a map), ascending:
-    sources are visited in order, so each list comes out sorted."""
-    preds = [[] for _ in range(F.ground.size)]
-    if isinstance(F, SingleMap):
-        for x, y in enumerate(F.image):
-            preds[y].append(x)
-    else:
-        for x, row in enumerate(F.rows):
-            for y in row:
-                preds[y].append(x)
-    return preds
-
-
 def _in_degrees(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     """Per point y, the number of ``rows`` that hold y: one pass over the edges, with
     no list of sources per point."""
@@ -274,8 +260,18 @@ def _in_degrees(rows: tuple[tuple[int, ...], ...]) -> list[int]:
 
 
 def invert(F: Multifunction | SingleMap) -> Multifunction:
-    """Reverse every edge of the graph of F; for a map f, its pullback x -> f^-1(x)."""
-    return Multifunction._of_rows(F.ground, tuple(map(tuple, predecessors(F))))
+    """Reverse every edge of the graph of F; for a map f, its pullback x -> f^-1(x).
+    Row y lists the points x with y in F(x) (with f(x) = y for a map), ascending:
+    sources are visited in order, so each row comes out sorted."""
+    preds = [[] for _ in range(F.ground.size)]
+    if isinstance(F, SingleMap):
+        for x, y in enumerate(F.image):
+            preds[y].append(x)
+    else:
+        for x, row in enumerate(F.rows):
+            for y in row:
+                preds[y].append(x)
+    return Multifunction._of_rows(F.ground, tuple(map(tuple, preds)))
 
 
 def equals(F: Multifunction, G: Multifunction) -> bool:

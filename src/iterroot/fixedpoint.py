@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SingleMap
+from .core import SingleMap, invert
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,14 @@ class OrderExclusion:
 
 
 def fixed_point_profile(f: SingleMap) -> FixedPointProfile:
-    image = f.image
-    fixed = tuple(x for x, y in enumerate(image) if x == y)
-    tails: dict[int, list[int]] = {x: [] for x in fixed}
-    has_preimage = bytearray(len(image))
-    for x, y in enumerate(image):
-        has_preimage[y] = 1
-        if x != y and image[y] == y:
-            tails[y].append(x)
-    frozen = {x: frozenset(t) for x, t in tails.items()}
+    preimages = invert(f).rows
+    fixed = tuple(x for x, y in enumerate(f.image) if x == y)
+    tails = {x: frozenset(preimages[x]) - {x} for x in fixed}
     non_isolated = tuple(x for x in fixed if tails[x])
     # the tails are disjoint, since each point has one image
     total = sum(len(tails[x]) for x in non_isolated)
-    flags = {y: bool(has_preimage[y]) for x in non_isolated for y in tails[x]}
-    return FixedPointProfile(fixed, frozen, non_isolated, total, flags)
+    flags = {y: bool(preimages[y]) for x in non_isolated for y in tails[x]}
+    return FixedPointProfile(fixed, tails, non_isolated, total, flags)
 
 
 def rice_exclusion(f: SingleMap) -> OrderExclusion | None:

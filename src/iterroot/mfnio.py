@@ -6,9 +6,11 @@ Grammar, one item per line, ``#`` starting a comment:
     kind single            optional, marks a single-valued map
     <label> -> <label>*    image of one source; empty right side = empty image
 
-Sources without a line have empty images.  The canonical form preserves
-declaration order, orders targets by declaration, omits empty-image lines,
-uses LF endings and no trailing spaces.
+A label is a nonempty run of characters other than whitespace and ``#``;
+``serialize`` refuses a ground set with any other label.  Sources without a
+line have empty images.  The canonical form preserves declaration order,
+orders targets by declaration, omits empty-image lines, uses LF endings and
+no trailing spaces.
 
 ``parse`` collects each source's targets as indices and builds the value from
 these index lists (the rows of a multifunction, one index per point of a map),
@@ -17,7 +19,12 @@ holds (``Multifunction.select``), so both cost O(size + edges).
 """
 from __future__ import annotations
 
+import re
+
 from .core import GroundSet, Multifunction, SingleMap
+
+
+_UNWRITABLE = re.compile(r"[\s#]")  # parse splits a line at whitespace and cuts it at '#'
 
 
 class ParseError(ValueError):
@@ -82,6 +89,10 @@ def parse(text: str) -> Multifunction | SingleMap:
 def serialize(value: Multifunction | SingleMap) -> str:
     labels = value.ground.labels
     lines = ["points " + " ".join(labels)]
+    if not all(labels) or _UNWRITABLE.search("".join(labels)):
+        bad = next(lab for lab in labels if not lab or _UNWRITABLE.search(lab))
+        raise ValueError(f"label {bad!r} cannot be written to .mfn: "
+                         "labels must be nonempty, with no whitespace or '#'")
     if isinstance(value, SingleMap):
         lines.append("kind single")
         lines += [f"{labels[x]} -> {labels[y]}" for x, y in enumerate(value.image)]

@@ -1,15 +1,16 @@
 """Pullback multifunctions of single-valued maps and root transfer.
 
 The pullback of a map f sends each point to the full f-preimage of that
-point.  A multifunction is such a pullback exactly when it is total,
-its values are pairwise disjoint, and its image is the whole ground set;
-the witness map reads membership backwards.
+point, so it is ``invert(f)``.  A multifunction F is such a pullback exactly
+when it is total and its inversion is a map, every row of ``invert(F)`` one
+point (F's values are pairwise disjoint and cover the ground set), and that
+map is the witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multifunction, SingleMap, _count, _in_degrees, compose, invert, iterate
+from .core import Multifunction, SingleMap, _count, compose, invert, iterate
 
 
 def pullback_of(f: SingleMap) -> Multifunction:
@@ -26,22 +27,17 @@ class PullbackWitness:
 
 def is_pullback(F: Multifunction) -> PullbackWitness:
     """Decide pullback membership in O(size + edges); failures are reported, never raised."""
-    rows = F.rows
-    hits = _in_degrees(rows)
+    sources = invert(F).rows  # sources[x]: the points y with x in F(y)
     failed = set()
-    if max(hits) > 1:
+    if max(map(len, sources)) > 1:
         failed.add("disjointness")
-    if min(hits) < 1:
+    if not all(sources):
         failed.add("surjectivity")
-    if not all(rows):
+    if not all(F.rows):
         failed.add("totality")
     if failed:
         return PullbackWitness(False, None, frozenset(failed))
-    image = [0] * len(rows)
-    for y, row in enumerate(rows):
-        for x in row:
-            image[x] = y
-    return PullbackWitness(True, SingleMap(F.ground, tuple(image)), frozenset())
+    return PullbackWitness(True, SingleMap(F.ground, tuple(y for (y,) in sources)), frozenset())
 
 
 @dataclass(frozen=True)
@@ -79,8 +75,8 @@ def decomposition_check(F: Multifunction, G1: Multifunction, G2: Multifunction,
     if failed:
         return DecompositionReport(False, tuple(failed))
     root_is_pullback = is_pullback(root).is_pullback if root is not None else None
-    return DecompositionReport(True, (), min(_in_degrees(G1.rows)) >= 1,
-                               max(_in_degrees(G2.rows)) <= 1, root_is_pullback)
+    return DecompositionReport(True, (), all(invert(G1).rows),
+                               max(map(len, invert(G2).rows)) <= 1, root_is_pullback)
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,9 @@ def transfer_root(f: SingleMap, g: SingleMap, n: int) -> TransferReport:
     if f.ground != g.ground:
         raise ValueError("maps must share a ground set")
     n = _count(n, 2, "root order must be at least 2")
-    if set(f.image) != set(range(f.ground.size)):
+    pullback_f = pullback_of(f)
+    if not all(pullback_f.rows):  # f is not onto
         return TransferReport(False)
     map_side = iterate(g, n) == f
-    pullback_side = iterate(pullback_of(g), n) == pullback_of(f)
+    pullback_side = iterate(pullback_of(g), n) == pullback_f
     return TransferReport(True, map_side, pullback_side, map_side == pullback_side)

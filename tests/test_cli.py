@@ -278,7 +278,8 @@ def test_instance_random_mf_rejects_out_of_range_parameters(capsys, density, max
 
 
 # each malformed value is rejected by the library function that consumes it;
-# {f1} is a multifunction file, {map} a single map, {bad} fails to parse
+# {f1} is a multifunction file, {map} a single map, {bad} fails to parse,
+# {binary} is not UTF-8
 @pytest.mark.parametrize("argv, fragment", [
     (("check", "{f1}", "--M", "0"), "M must be positive"),
     (("check", "{f1}", "--rule", "forward-paths", "--M", "0"), "M and N must be positive"),
@@ -303,11 +304,15 @@ def test_instance_random_mf_rejects_out_of_range_parameters(capsys, density, max
     (("check", "{f1}", "--x0", "x1", "--json"), "need a single --rule"),
     (("instance", "f1", "--depth", "3", "--density", "7", "--max-out", "-4", "--seed", "1"),
      "instance f1 does not take max_out_degree, density, seed"),
+    (("check", "{binary}"), "binary.mfn: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_malformed_input_exits_2_with_one_line(write, tmp_path, capsys, argv, fragment):
     bad = tmp_path / "bad.mfn"
     bad.write_text("points a\nq -> a\n", encoding="utf-8")
-    files = {"f1": write("f1.mfn", f1(3)), "map": write("map.mfn", fig67()[0]), "bad": str(bad)}
+    binary = tmp_path / "binary.mfn"
+    binary.write_bytes(b"\xffpoints a\n")
+    files = {"f1": write("f1.mfn", f1(3)), "map": write("map.mfn", fig67()[0]), "bad": str(bad),
+             "binary": str(binary)}
     code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err

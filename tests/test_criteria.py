@@ -370,8 +370,8 @@ def _counting(monkeypatch, name, module=criteria):
 
 def test_scan_builds_certificates_only_where_one_fires(monkeypatch):
     checks = _counting(monkeypatch, "_check")
-    # core.predecessors is the one inversion of F; invert reaches it too
-    inversions = _counting(monkeypatch, "predecessors", core)
+    # core.invert is the one inversion of F
+    inversions = _counting(monkeypatch, "invert", core)
     neither = fired = 0
     for F in _scan_instances():
         size = F.ground.size
@@ -462,9 +462,9 @@ def test_scan_computes_one_q_per_rule_at_the_candidate(monkeypatch):
 def _no_inversion(monkeypatch):
     def inverted(*args):
         raise AssertionError("F was inverted")
-    # the name in core, which invert reads too, and any binding criteria makes of it
-    monkeypatch.setattr(core, "predecessors", inverted)
-    monkeypatch.setattr(criteria, "predecessors", inverted, raising=False)
+    # the name in core and any binding criteria makes of it
+    monkeypatch.setattr(core, "invert", inverted)
+    monkeypatch.setattr(criteria, "invert", inverted, raising=False)
 
 
 def _degree_view_instances():

@@ -152,5 +152,7 @@ def test_profile_equals_the_preimage_set_reference():
     for seed in range(60):
         maps.append(random_single_map(2 + seed % 11, seed=seed))
         maps.append(random_permutation(2 + seed % 11, seed=seed))
+    # two non-isolated fixed points with four tail points, two of which have preimages
+    maps.append(random_single_map(20_000, seed=20_000))
     for f in maps:
         assert fixed_point_profile(f) == _reference_profile(f), f.image

@@ -141,6 +141,27 @@ def test_error_messages_carry_line_numbers():
     assert str(err).endswith("at line 4")
 
 
+@pytest.mark.parametrize("labels, bad", [
+    (("a b", "c"), "a b"),
+    (("a", ""), ""),
+    (("a", "b#c"), "b#c"),
+    (("a\tb",), "a\tb"),
+    (("a", "b\n"), "b\n"),
+    (("a b", ""), "a b"),
+])
+def test_serialize_refuses_a_label_the_format_cannot_hold(labels, bad):
+    for value in (SingleMap(GroundSet(labels), (0,) * len(labels)),
+                  Multifunction.from_sets(GroundSet(labels), [()] * len(labels))):
+        with pytest.raises(ValueError) as err:
+            serialize(value)
+        assert f"label {bad!r}" in str(err.value)
+
+
+def test_serialize_writes_labels_that_look_like_syntax():
+    f = SingleMap(GroundSet(("->", "points", "kind", "single", "é")), (1, 2, 3, 4, 0))
+    assert parse(serialize(f)) == f
+
+
 def reference_parse(text):
     """``parse`` before index lists: one bitmask per source, for maps too."""
     ground = None

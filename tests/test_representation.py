@@ -214,6 +214,8 @@ def test_rows_agree_with_masks_on_sparse_seeded_grounds():
         for F in (_sparse(size, size), f.as_multifunction(), invert(f),
                   invert(random_permutation(size, size))):
             _agrees(F, rng, points_checked=0)
+    F = invert(random_permutation(20_000, 20_000))
+    assert is_pullback(F).is_pullback and is_pullback(F) == reference_is_pullback(F)
 
 
 @st.composite
