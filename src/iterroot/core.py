@@ -19,14 +19,14 @@ from itertools import chain, compress, count
 from typing import Iterable, Iterator, Sequence
 
 
-def _count(value, least: int, message: str) -> int:
-    """``value`` as an int, when it is an integer of at least ``least``; otherwise
-    ValueError(message), and a non-integer's message also says so."""
+def _count(value, least: int | None, message: str) -> int:
+    """``value`` as an int, when it is an integer of at least ``least`` (any integer
+    for None); otherwise ValueError(message), and a non-integer's message also says so."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{message}; counts must be integers, got {value!r}") from None
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(message)
     return value
 

@@ -9,6 +9,7 @@ route into the hub.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, fields
 
@@ -100,14 +101,12 @@ def fig67() -> tuple[SingleMap, SingleMap]:
 def cyclic_power(modulus: int, exponent: int, variant: str = "add") -> SingleMap:
     """Residue arithmetic maps: translation by e or multiplication by e mod q."""
     modulus = _count(modulus, 1, "modulus must be positive")
+    exponent = _count(exponent, None, "exponent must be an integer")
     if variant not in ("add", "mul"):
         raise ValueError("variant must be 'add' or 'mul'")
     ground = GroundSet(tuple(str(i) for i in range(modulus)))
-    if variant == "add":
-        image = tuple((x + exponent) % modulus for x in range(modulus))
-    else:
-        image = tuple((x * exponent) % modulus for x in range(modulus))
-    return SingleMap(ground, image)
+    step = operator.add if variant == "add" else operator.mul
+    return SingleMap(ground, tuple(step(x, exponent) % modulus for x in range(modulus)))
 
 
 def _ground(size: int) -> GroundSet:

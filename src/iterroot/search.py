@@ -10,8 +10,9 @@ target.  So a root g of a map f maps f's periodic points onto them, each
 f-cycle onto one as long, and is a bijection there, as g^n = f is: one rule
 for every map, whose fixed points are its 1-cycles and which on a permutation
 holds at every point.  The single-map search keeps it as one mask per point
-and skips the values an earlier periodic point took.  Before that, the cycle
-type of f on its periodic points may rule out a root: then it explores 0 nodes.
+and skips the values an earlier periodic point took.  Before it builds a mask,
+the cycle type of f on its periodic points may rule out a root: then it explores
+0 nodes, in time linear in the ground.
 
 The checks are incremental.  Depth i is reached only after the points
 0..i-1 passed every check, and a check can change only if it involves the
@@ -295,37 +296,37 @@ def _failing_cycle_length(counts: dict[int, int], n: int) -> int | None:
 def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None, int]:
     size = f.ground.size
     fv = f.image
-    full = (1 << size) - 1
     # within[i]: the values g(i) may take before commutation at i pins it.  A root
     # commutes with f, so it maps f's periodic points (its fixed points are the
     # 1-cycles) onto them, each f-cycle onto one as long, and is a bijection there,
     # as g^n = f is; a non-periodic point may go anywhere.  The periodic points are
     # what is left once the points no remaining point maps to are peeled off
-    hits = [0] * size  # hits[y]: how many points x not peeled off have f(x) = y
-    for y in fv:
-        hits[y] += 1
+    inverse = invert(f)
+    hits = list(map(len, inverse.rows))  # hits[y]: how many points x not peeled off have f(x) = y
     tails = [x for x in range(size) if not hits[x]]
     for x in tails:  # grows as it is read, and each point is peeled once
         hits[fv[x]] -= 1
         if not hits[fv[x]]:
             tails.append(fv[x])
     length_of = [0] * size  # the length of each periodic point's f-cycle, else 0
-    by_length, cycles = {0: full}, {}  # length -> the points of its f-cycles, and their number
+    cycles = {}  # length -> the number of f-cycles that long
     for x in range(size):
         if hits[x] and not length_of[x]:
-            cycle, y = 1 << x, fv[x]
+            cycle, y = [x], fv[x]
             while y != x:
-                cycle |= 1 << y
+                cycle.append(y)
                 y = fv[y]
-            length = cycle.bit_count()
-            by_length[length] = by_length.get(length, 0) | cycle
-            cycles[length] = cycles.get(length, 0) + 1
-            for y in bits(cycle):
-                length_of[y] = length
+            cycles[len(cycle)] = cycles.get(len(cycle), 0) + 1
+            for y in cycle:
+                length_of[y] = len(cycle)
     if _failing_cycle_length(cycles, n) is not None:
         return None, 0
+    full = (1 << size) - 1
+    by_length = {0: full}  # length -> the points of its f-cycles
+    for x, length in enumerate(length_of):
+        if length:
+            by_length[length] = by_length.get(length, 0) | 1 << x
     within = [by_length[length] for length in length_of]
-    inverse = invert(f)
     fpreds = inverse.images  # fpreds[v]: the points x with f(x) = v
     early = [tuple(x for x in row if x < v) for v, row in enumerate(inverse.rows)]
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth

@@ -161,9 +161,9 @@ def test_cli_iterate_at_order_ten_to_the_eight_is_bounded(tmp_path):
 
 def test_non_integer_points_are_refused_at_construction():
     # cyclic_power(5, 2.5) built a map with images (2.5, 3.5, ...), and from_sets
-    # kept 0.5 in a row
+    # kept 0.5 in a row; cyclic_power refuses a non-integer exponent at entry
     ground = GroundSet(("a", "b"))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="counts must be integers"):
         cyclic_power(5, 2.5)
     with pytest.raises(TypeError):
         SingleMap(ground, (0, 1.0))

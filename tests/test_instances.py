@@ -79,6 +79,12 @@ def test_cyclic_power_translation_and_multiplication():
         cyclic_power(0, 1)
     with pytest.raises(ValueError):
         cyclic_power(5, 1, "xor")
+    # the exponent is checked at entry, as the modulus is; a negative one is valid
+    for variant in ("add", "mul"):
+        with pytest.raises(ValueError, match="exponent must be an integer; counts must be integers"):
+            cyclic_power(5, 2.5, variant)
+    assert cyclic_power(5, -3).image == cyclic_power(5, 2).image
+    assert cyclic_power(5, -3, "mul").image == cyclic_power(5, 2, "mul").image
 
 
 def test_random_generators_are_seed_deterministic():
