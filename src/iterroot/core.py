@@ -179,8 +179,14 @@ class SingleMap:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        image = tuple(map(operator.index, self.image))
-        object.__setattr__(self, "image", image)
+        image = self.image
+        # a tuple of ints is kept, not rebuilt, and compose and invert build theirs from
+        # lists: CPython resizes a tuple built from an iterator of unknown length, and
+        # parks it, once freed, on a free list that only tuples built at their length
+        # draw from, so every search would leave more there, up to 2,000 per length
+        if type(image) is not tuple or set(map(type, image)) != {int}:
+            image = tuple(map(operator.index, image))
+            object.__setattr__(self, "image", image)
         size = self.ground.size
         if len(image) != size:
             raise ValueError("single map must be total")
@@ -222,7 +228,7 @@ def compose(F: Multifunction | SingleMap,
     if type(F) is not type(G):
         raise TypeError("composition requires two maps or two multifunctions")
     if isinstance(G, SingleMap):
-        return SingleMap(F.ground, tuple(F.image[y] for y in G.image))
+        return SingleMap(F.ground, tuple([F.image[y] for y in G.image]))
     return Multifunction(F.ground, [union_of(F.images, m) for m in G.images])
 
 
@@ -271,7 +277,7 @@ def invert(F: Multifunction | SingleMap) -> Multifunction:
         for x, row in enumerate(F.rows):
             for y in row:
                 preds[y].append(x)
-    return Multifunction._of_rows(F.ground, tuple(map(tuple, preds)))
+    return Multifunction._of_rows(F.ground, tuple(list(map(tuple, preds))))
 
 
 def equals(F: Multifunction, G: Multifunction) -> bool:

@@ -9,10 +9,18 @@ image (with equality once fully decided), and any root must commute with the
 target.  So a root g of a map f maps f's periodic points onto them, each
 f-cycle onto one as long, and is a bijection there, as g^n = f is: one rule
 for every map, whose fixed points are its 1-cycles and which on a permutation
-holds at every point.  The single-map search keeps it as one mask per point
-and skips the values an earlier periodic point took.  Before it builds a mask,
-the cycle type of f on its periodic points may rule out a root: then it explores
-0 nodes, in time linear in the ground.
+holds at every point.  The single-map search applies it exactly, by the
+commutation argument of Isaacs (1950).  Once g takes the value C'[t] at the
+least point b of an l-cycle C = (b, f(b), ...), commutation fixes g(f^k(b)) =
+C'[(t + k) mod l] on all of C: an arc C -> C' with offset t.  The arcs form
+paths and loops of l-cycles.  A loop of d cycles whose offsets sum to S makes
+g^n = f on them iff d | n and S * (n / d) = 1 (mod l), and the open paths must
+group into loops of such sizes.  A value at b is kept only if its arc passes
+this test, which is exact on the periodic points.  So on a permutation the
+search never backtracks: it returns the least root after size * (size + 1) / 2
+nodes, at most size**2.  With no arc, the test is the cycle type of f on its
+periodic points, read before any mask is built: when it rules out a root, the
+search explores 0 nodes, in time linear in the ground.
 
 The checks are incremental.  Depth i is reached only after the points
 0..i-1 passed every check, and a check can change only if it involves the
@@ -276,31 +284,71 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
         del rec  # rec's closure holds rec: break the cycle so the lists are freed now
 
 
+def _block(length: int, n: int) -> int:
+    """a_l(n), the largest divisor of n whose primes all divide l: a g-cycle of
+    length L splits under g^n into gcd(L, n) cycles of length L / gcd(L, n), so
+    l-cycles of g^n come from loops of d l-cycles of g with d | n and gcd(l, n / d)
+    = 1, and these d are the divisors of n that a_l(n) divides."""
+    rest = n  # n with the primes of length divided out
+    while (common := gcd(rest, length)) > 1:
+        rest //= common
+    return n // rest
+
+
 def _failing_cycle_length(counts: dict[int, int], n: int) -> int | None:
     """The first cycle length l of ``counts`` ({l: number of l-cycles}) whose
-    count is not a multiple of a_l(n), the largest divisor of n whose primes
-    all divide l, or None; a permutation with these counts has an n-th root
-    iff it is None.  Under g^n a g-cycle of length L splits into gcd(L, n)
-    cycles of length L / gcd(L, n), so the l-cycles come from g-cycles of
-    length l * d with d | n and gcd(l, n / d) = 1: these d are the divisors of
-    n that a_l(n) divides, a_l(n) among them."""
+    count is not a multiple of a_l(n), or None; a permutation with these counts
+    has an n-th root iff it is None, since its l-cycles split into loops whose
+    sizes a_l(n) divides, a_l(n) among them."""
     for length, count in counts.items():
-        rest = n  # n with the primes of length divided out, so a_l(n) = n // rest
-        while (common := gcd(rest, length)) > 1:
-            rest //= common
-        if count % (n // rest):
+        if count % _block(length, n):
             return length
     return None
+
+
+def _packs(counts: list[int], up: list[int], total: int = 0, cap: int = 0) -> bool:
+    """Whether open paths of l-cycles, counts[k] of them with k cycles each, can be
+    closed into loops of allowed sizes, where up[s] is the least allowed size >= s.
+    The sizes are multiples of the least one, up[1], and so is the number of cycles
+    on the paths (the caller keeps it so).  So a path of one cycle can join any loop:
+    the longer paths are grouped, each group opened by the longest path left and
+    filled in non-increasing order (``total`` cycles so far, the last path of
+    ``cap``), then padded up to an allowed size with paths of one cycle, and those
+    left over close into loops of up[1] cycles."""
+    if not total:
+        k = len(counts) - 1
+        while k > 1 and not counts[k]:
+            k -= 1
+        if k < 2:
+            return True
+        counts[k] -= 1
+        found = _packs(counts, up, k, k)
+        counts[k] += 1
+        return found
+    pad = up[total] - total
+    if pad <= counts[1]:
+        counts[1] -= pad
+        found = _packs(counts, up)
+        counts[1] += pad
+        if found:
+            return True
+    for k in range(min(cap, len(counts) - 1 - total), 1, -1):
+        if counts[k]:
+            counts[k] -= 1
+            found = _packs(counts, up, total + k, k)
+            counts[k] += 1
+            if found:
+                return True
+    return False
 
 
 def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None, int]:
     size = f.ground.size
     fv = f.image
-    # within[i]: the values g(i) may take before commutation at i pins it.  A root
-    # commutes with f, so it maps f's periodic points (its fixed points are the
-    # 1-cycles) onto them, each f-cycle onto one as long, and is a bijection there,
-    # as g^n = f is; a non-periodic point may go anywhere.  The periodic points are
-    # what is left once the points no remaining point maps to are peeled off
+    # A root commutes with f, so it maps f's periodic points (its fixed points are the
+    # 1-cycles) onto them, each f-cycle onto one as long, and is a bijection there, as
+    # g^n = f is; a non-periodic point may go anywhere.  The periodic points are what
+    # is left once the points no remaining point maps to are peeled off
     inverse = invert(f)
     hits = list(map(len, inverse.rows))  # hits[y]: how many points x not peeled off have f(x) = y
     tails = [x for x in range(size) if not hits[x]]
@@ -308,43 +356,112 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
         hits[fv[x]] -= 1
         if not hits[fv[x]]:
             tails.append(fv[x])
-    length_of = [0] * size  # the length of each periodic point's f-cycle, else 0
+    # each f-cycle C as the list C[k] = f^k(b) from its least point b, and for each
+    # periodic point C[k], the index of C (else -1) and k
+    members, cycle_of, pos = [], [-1] * size, [0] * size
     cycles = {}  # length -> the number of f-cycles that long
     for x in range(size):
-        if hits[x] and not length_of[x]:
+        if hits[x] and cycle_of[x] < 0:
             cycle, y = [x], fv[x]
             while y != x:
                 cycle.append(y)
                 y = fv[y]
+            for k, y in enumerate(cycle):
+                cycle_of[y], pos[y] = len(members), k
+            members.append(cycle)
             cycles[len(cycle)] = cycles.get(len(cycle), 0) + 1
-            for y in cycle:
-                length_of[y] = len(cycle)
     if _failing_cycle_length(cycles, n) is not None:
         return None, 0
+    # the arcs chosen so far form paths and loops of l-cycles (see the module
+    # docstring).  A path is kept at its head h, the cycle no arc enters: its tail,
+    # its number of cycles and the sum of its offsets; its tail c keeps head[c] = h,
+    # and tail[h] is -1 once an arc enters h.  An open path can be closed with any
+    # offset, so it needs only a loop size, which _packs finds
+    count = len(members)
+    head, tail, span, turn = list(range(count)), list(range(count)), [1] * count, [0] * count
+    paths, up = {}, {}  # per length l: _packs's counts and allowed sizes for the l-cycles
+    for length, number in cycles.items():
+        step = _block(length, n)
+        up[length] = sizes = []
+        for d in range(step, number + 1, step):
+            if not n % d:
+                sizes += [d] * (d + 1 - len(sizes))
+        paths[length] = [0] * len(sizes)
+        paths[length][1] = number
+
+    def link(c: int, v: int) -> bool:
+        # add the arc from c, whose least point takes the value v, if a root extends it
+        target, length = cycle_of[v], len(members[c])
+        if target < 0 or tail[target] < 0 or len(members[target]) != length:
+            return False
+        h, counts = head[c], paths[length]
+        if target == h:  # closes h's path into a loop
+            d = span[h]
+            if n % d or (turn[h] + pos[v]) * (n // d) % length != 1 % length:
+                return False
+            counts[d] -= 1
+            if _packs(counts, up[length]):
+                tail[h] = -1
+                return True
+            counts[d] += 1
+            return False
+        a, b = span[h], span[target]
+        if a + b >= len(counts):  # longer than any allowed loop
+            return False
+        counts[a] -= 1
+        counts[b] -= 1
+        counts[a + b] += 1
+        if _packs(counts, up[length]):
+            end = tail[target]
+            tail[h], head[end], tail[target] = end, h, -1
+            span[h] += b
+            turn[h] += pos[v] + turn[target]
+            return True
+        counts[a] += 1
+        counts[b] += 1
+        counts[a + b] -= 1
+        return False
+
+    def unlink(c: int, v: int) -> None:
+        target, h, counts = cycle_of[v], head[c], paths[len(members[c])]
+        if target == h:
+            tail[h] = c
+            counts[span[h]] += 1
+            return
+        end = tail[h]
+        tail[h], head[end], tail[target] = c, target, end
+        b = span[target]
+        counts[span[h]] -= 1
+        span[h] -= b
+        turn[h] -= pos[v] + turn[target]
+        counts[span[h]] += 1
+        counts[b] += 1
+
     full = (1 << size) - 1
-    by_length = {0: full}  # length -> the points of its f-cycles
-    for x, length in enumerate(length_of):
-        if length:
-            by_length[length] = by_length.get(length, 0) | 1 << x
-    within = [by_length[length] for length in length_of]
     fpreds = inverse.images  # fpreds[v]: the points x with f(x) = v
-    early = [tuple(x for x in row if x < v) for v, row in enumerate(inverse.rows)]
+    early = [tuple([x for x in row if x < v]) for v, row in enumerate(inverse.rows)]
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
 
     g = [0] * size
     preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
     nodes = 0
 
-    def rec(i: int, free: int) -> bool:  # free: the values no periodic x < i took as g(x)
+    def rec(i: int) -> bool:
         nonlocal nodes
         if i == size:
             return True
         bit = 1 << i
         # commutation f(g(x)) = g(f(x)) at the earlier x with f(x) = i fixes
-        # g(i) = f(g(x)), and at i itself it fixes f(g(i)) = g(f(i)) once f(i)
-        # is decided; a periodic i also takes no value an earlier periodic point took
-        on_cycle = length_of[i]
-        allowed = within[i] & free if on_cycle else within[i]
+        # g(i) = f(g(x)), and at i itself it fixes f(g(i)) = g(f(i)) once f(i) is
+        # decided; on an f-cycle, the arc at its least point fixes the other points
+        c = cycle_of[i]
+        least = c >= 0 and not pos[i]
+        if c < 0 or least:
+            allowed = full
+        else:
+            w = g[members[c][0]]
+            image = members[cycle_of[w]]
+            allowed = 1 << image[(pos[w] + pos[i]) % len(image)]
         for x in early[i]:
             allowed &= 1 << fv[g[x]]
         fi = fv[i]
@@ -409,16 +526,20 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                         t -= 1
                     if cur != ends[t]:
                         continue
+                if least and not link(c, v):
+                    continue
                 preds[v] |= bit
-                if rec(i + 1, free ^ low if on_cycle else free):
+                if rec(i + 1):
                     return True
                 preds[v] ^= bit
+                if least:
+                    unlink(c, v)
         nodes += size - 1 - last
         if nodes > budget:
             raise _BudgetExceeded
         return False
 
     try:
-        return (SingleMap(f.ground, tuple(g)) if rec(0, full) else None), nodes
+        return (SingleMap(f.ground, tuple(g)) if rec(0) else None), nodes
     finally:
         del rec  # as in _multi_engine

@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import itertools
 import json
@@ -291,12 +292,13 @@ _EXHAUSTED_AT_10_7 = {"order": 10_000_000, "outcome": "exhausted", "witness": No
 @pytest.mark.parametrize("instance, extra, code, verdict", [
     # x -> 2x mod 8 has one periodic point, the fixed point 0, so its cycle type
     # settles nothing and the single-map search walks; the 13-cycle x -> x + 2 mod
-    # 13 passes its cycle-type test, so the search walks the cycle-length masks to
-    # the root x -> x + 8; the 5-cycle x -> x + 2 mod 5 goes to the multi-map search
+    # 13 passes its cycle-type test, and the arc test at 0 takes 8, the least value
+    # a root can take there, which fixes the root x -> x + 8 in 13 * 7 nodes; the
+    # 5-cycle x -> x + 2 mod 5 goes to the multi-map search
     (("--modulus", "8", "--exponent", "2", "--variant", "mul"), (), 1,
      {**_EXHAUSTED_AT_10_7, "nodes_explored": "280"}),
     (("--modulus", "13", "--exponent", "2"), (), 0,
-     {"order": 10_000_000, "outcome": "witness", "nodes_explored": "6942",
+     {"order": 10_000_000, "outcome": "witness", "nodes_explored": "91",
       "witness": "points 0 1 2 3 4 5 6 7 8 9 10 11 12\nkind single\n"
                  + "".join(f"{x} -> {(x + 8) % 13}\n" for x in range(13))}),
     (("--modulus", "5", "--exponent", "2"), ("--max-out", "1"), 1,
@@ -526,19 +528,100 @@ def _periodic_part(f):
             [index[f.image[x]] for x in points])
 
 
+def _loop_sizes(length, n):
+    """The numbers d of l-cycles of a root that can make l-cycles of its n-th
+    power: a g-cycle of length d * l splits under g^n into gcd(d * l, n) cycles
+    of length d * l / gcd(d * l, n), which is l iff d | n and gcd(l, n / d) = 1."""
+    return frozenset(d for d in range(1, n + 1) if n % d == 0 and math.gcd(length, n // d) == 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _groupable(lengths, sizes):
+    """Whether the sorted tuple ``lengths`` splits into groups whose sums lie in
+    ``sizes``: the group of the first length is tried with every subset of the rest."""
+    if not lengths:
+        return True
+    first, rest = lengths[0], lengths[1:]
+    for k in range(len(rest) + 1):
+        for chosen in itertools.combinations(range(len(rest)), k):
+            if first + sum(rest[j] for j in chosen) in sizes and _groupable(
+                    tuple(x for j, x in enumerate(rest) if j not in chosen), sizes):
+                return True
+    return False
+
+
+def _arcs_extend(cycles, where, g, i, n):
+    """Whether g on the points 0..i can extend to a bijection of f's periodic
+    points that commutes with f and whose n-th power is f there.  ``cycles``
+    lists f's cycles, each from its least point b as [b, f(b), f^2(b), ...], and
+    ``where`` maps each of their points to (cycle index, position).  Commutation
+    makes g(f^k(b)) = f^k(g(b)), so a cycle whose b is decided maps onto the
+    cycle of g(b), shifted by g(b)'s position t: an arc, which fixes g on the
+    whole cycle.  The arcs form paths and loops.  A loop of d l-cycles whose
+    shifts sum to S makes g^n = f on them iff d | n and S * (n / d) = 1 mod l,
+    and the open paths of l-cycles can be closed into loops iff their lengths
+    group into sums of such d."""
+    arcs = {}
+    for c, cycle in enumerate(cycles):
+        if cycle[0] > i:
+            continue
+        if g[cycle[0]] not in where:
+            return False
+        target, t = where[g[cycle[0]]]
+        image = cycles[target]
+        if len(image) != len(cycle) or target in {a for a, _ in arcs.values()}:
+            return False
+        if any(g[x] != image[(t + k) % len(cycle)] for k, x in enumerate(cycle) if x <= i):
+            return False
+        arcs[c] = (target, t)
+    entered = {a for a, _ in arcs.values()}
+    seen, paths = set(), collections.defaultdict(list)
+    for start in range(len(cycles)):
+        if start in entered:
+            continue
+        count, c = 1, start
+        seen.add(c)
+        while c in arcs:
+            c = arcs[c][0]
+            seen.add(c)
+            count += 1
+        paths[len(cycles[start])].append(count)
+    for start in range(len(cycles)):
+        if start in seen:
+            continue
+        d, total, c = 0, 0, start
+        while c not in seen:
+            seen.add(c)
+            c, t = arcs[c]
+            d, total = d + 1, total + t
+        length = len(cycles[start])
+        if n % d or total * (n // d) % length != 1 % length:
+            return False
+    return all(_groupable(tuple(sorted(counts)), _loop_sizes(length, n))
+               for length, counts in paths.items())
+
+
 def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
     """(outcome, nodes, witness image) of the full-rescan single-map searcher;
     ``visit(g, i)`` is called at each depth i < size that the search reaches.
     ``filtered`` gives it the pruning the single-map engine has on f's periodic
     points: no search at all when their cycle type rules out a root, and at
-    each node of a periodic i, a value no earlier periodic point took whose
-    f-cycle is as long as i's."""
+    each node of a periodic point, the test that the decided part of g on them
+    still extends to a root there (_arcs_extend)."""
     size = f.ground.size
     lengths = {}  # the periodic points' cycle lengths, when filtered
+    cycles, where = [], {}
     if filtered:
         lengths, perm = _periodic_part(f)
         if not _has_root_by_cycle_type(perm, n):
             return "exhausted", 0, None
+        for x in sorted(lengths):
+            if x not in where:
+                cycle = [x]
+                while f.image[cycle[-1]] != x:
+                    cycle.append(f.image[cycle[-1]])
+                where.update((y, (len(cycles), k)) for k, y in enumerate(cycle))
+                cycles.append(cycle)
     g = [0] * size
     nodes = 0
 
@@ -553,8 +636,7 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
             if nodes > budget:
                 raise _ReferenceBudgetExceeded
             g[i] = v
-            if i in lengths and (lengths.get(v) != lengths[i]
-                                 or any(g[x] == v for x in lengths if x < i)):
+            if i in lengths and not _arcs_extend(cycles, where, g, i, n):
                 continue
             if _reference_map_consistent(g, i, f.image, n) and rec(i + 1):
                 return True
@@ -697,17 +779,21 @@ def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
 
 
 @pytest.mark.parametrize("make, n, constraint, outcome, nodes", [
-    (lambda: fig67()[0], 4, None, "witness", 115_858),
-    (lambda: fig67()[0], 5, None, "exhausted", 5_960),
+    (lambda: fig67()[0], 4, None, "witness", 115_818),
+    (lambda: fig67()[0], 5, None, "exhausted", 5_400),
     (lambda: f1(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 6_864),
     (lambda: f1(4), 2, max_out_degree(2, require_total_domain=True), "exhausted", 18_840),
     (lambda: f2(2), 2, max_out_degree(2, require_total_domain=True), "exhausted", 17_358),
     # bench-shaped permutations, which the search workload gives 30,000 nodes: a
     # 12-cycle has no square root by its cycle type, so it is refused with no
-    # node explored, while the 13-cycle's square root is found at 11,518 of them
+    # node explored, while the 13-cycle's square root is found at 91 of them, one
+    # value per point up to the root's
     (lambda: cyclic_power(12, 3, "add"), 2, None, "exhausted", 0),
-    (lambda: cyclic_power(13, 3, "add"), 2, None, "witness", 11_518),
+    (lambda: cyclic_power(13, 3, "add"), 2, None, "witness", 91),
     (lambda: cyclic_power(12, 5, "add"), 2, None, "exhausted", 0),
+    # a permutation's search never backtracks, so a 901-cycle's square root
+    # costs 901 * 902 / 2 nodes, one value per point up to the root's
+    (lambda: cyclic_power(901, 1, "add"), 2, None, "witness", 406_351),
 ])
 def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
     target = make()
@@ -720,16 +806,18 @@ def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
 
 
 @pytest.mark.parametrize("modulus, variant, exponent, n, outcome, nodes, witness", [
-    (13, "add", 3, 4, "witness", 15_223, (4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3)),
-    (14, "add", 7, 3, "witness", 273, (1, 2, 7, 4, 5, 10, 13, 8, 9, 0, 11, 12, 3, 6)),
-    (15, "add", 2, 4, "witness", 7_800, (8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 5, 6, 7)),
+    (13, "add", 3, 4, "witness", 91, (4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3)),
+    (14, "add", 7, 3, "witness", 105, (1, 2, 7, 4, 5, 10, 13, 8, 9, 0, 11, 12, 3, 6)),
+    (15, "add", 2, 4, "witness", 120, (8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 5, 6, 7)),
     (13, "mul", 2, 3, "exhausted", 0, None),
     (15, "mul", 2, 2, "exhausted", 0, None),
-    (16, "add", 5, 3, "budget", 30_000, None),
+    (16, "add", 5, 3, "witness", 136, tuple((x + 7) % 16 for x in range(16))),
+    (15, "add", 7, 4, "witness", 120, tuple((x + 13) % 15 for x in range(15))),
+    (16, "add", 7, 3, "witness", 136, tuple((x + 13) % 16 for x in range(16))),
 ])
 def test_bench_cyclic_requests_keep_their_nodes_and_witnesses(modulus, variant, exponent, n,
                                                              outcome, nodes, witness):
-    # six of the search workload's cyclic requests at its 30,000-node budget, so
+    # eight of the search workload's cyclic requests at its 30,000-node budget, so
     # a change in the single-map search's nodes fails here and not only in the
     # digest of a benchmark pass
     f = cyclic_power(modulus, exponent, variant)
@@ -773,8 +861,8 @@ def test_walks_cut_at_their_first_repeat_match_the_references():
 
 
 def test_every_small_permutation_keeps_its_outcome_and_witness():
-    # the cycle-type refusal and the two permutation filters may cut only
-    # subtrees without a root: on every permutation of up to 6 points at orders
+    # the cycle-type refusal and the arc test may cut only subtrees without a
+    # root: on every permutation of up to 6 points at orders
     # 2-12 the search must decide as the unfiltered reference does, with its
     # witness and in no more nodes, and explore exactly the filtered one's nodes
     for size in range(1, 7):
@@ -784,15 +872,81 @@ def test_every_small_permutation_keeps_its_outcome_and_witness():
                 _check_single(SingleMap(ground, image), n, DEFAULT_BUDGET)
 
 
+def test_every_permutation_of_up_to_7_points_is_settled_without_backtracking():
+    # each least point of an f-cycle keeps the first value whose arc a root
+    # extends, which fixes its cycle, so the search never leaves a depth without a
+    # witness: on every permutation of up to 7 points at orders 2-12 it returns the
+    # least root, found here by listing the powers of every permutation (a root of
+    # a permutation is one), after counting the values up to the root's image at
+    # each point, size * (size + 1) / 2 nodes in all; a permutation with no root is
+    # refused by its cycle type with none
+    for size in range(1, 8):
+        ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+        least = {}  # (n, g^n) -> the least g, as permutations come in increasing order
+        for g in itertools.permutations(range(size)):
+            power = g
+            for n in range(2, 13):
+                power = tuple(g[x] for x in power)
+                least.setdefault((n, power), g)
+        for image in itertools.permutations(range(size)):
+            f = SingleMap(ground, image)
+            for n in range(2, 13):
+                result = find_single_root(f, n)
+                root = least.get((n, image))
+                expected = (("exhausted", 0, None) if root is None
+                            else ("witness", size * (size + 1) // 2, root))
+                assert _summary(result, "single") == expected, (image, n)
+
+
+def test_the_grouping_test_agrees_with_every_grouping():
+    # the search groups the open paths of two or more l-cycles and pads each group
+    # with one-cycle paths; against trying every grouping of every multiset of path
+    # lengths whose total a_l(n) divides, for up to 9 l-cycles in all; the allowed
+    # loop sizes and the paths are those of the l-cycles, so no size or path
+    # exceeds their number
+    from iterroot.search import _block, _packs
+    checked = rejected = 0
+    for length in range(1, 7):
+        for n in range(2, 25):
+            step = _block(length, n)
+            for number in range(step, 10, step):
+                sizes = _loop_sizes(length, n)
+                top = max(d for d in sizes if d <= number)
+                up = [min(d for d in sizes if d >= s) for s in range(top + 1)]
+                for total in range(step, number + 1, step):
+                    for parts in _partitions(total, top):
+                        counts = [0] * (top + 1)
+                        for part in parts:
+                            counts[part] += 1
+                        kept = list(counts)
+                        fits = _packs(counts, up)
+                        assert counts == kept
+                        assert fits == _groupable(tuple(sorted(parts)), sizes), (
+                            length, n, number, parts)
+                        checked += 1
+                        rejected += not fits
+    assert checked > 10_000 and rejected > 1_000, (checked, rejected)
+
+
+def _partitions(total, largest):
+    """The multisets of positive parts, each at most ``largest``, that sum to ``total``."""
+    if not total:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part, *rest)
+
+
 def test_every_small_map_keeps_its_outcome_witness_and_nodes():
     # every map of 1-5 points at orders 2-6, hashed result by result: any change
     # to an outcome or a witness changes the verdict digest, and any change to a
     # node count the node digest.  CI runs the same census on the maps of up to 6
     # points
     assert census(5) == (
-        17_065, 850_761,
+        17_065, 756_520,
         "e44e20ece6717e286dda708f6d6b22c58043104c800a84a64162ab0d2445367e",
-        "4911a80362a292b0dc3f282322bdd1e62f541c86c0b7c4c1acda052ab09247eb")
+        "8172d27d3f69e893fe29dc30610c549d83dc03424f4893164352499a12ffd83b")
 
 
 def test_a_refusal_by_the_periodic_cycle_type_is_exact():
