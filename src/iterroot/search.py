@@ -20,7 +20,8 @@ this test, which is exact on the periodic points.  So on a permutation the
 search never backtracks: it returns the least root after size * (size + 1) / 2
 nodes, at most size**2.  With no arc, the test is the cycle type of f on its
 periodic points, read before any mask is built: when it rules out a root, the
-search explores 0 nodes, in time linear in the ground.
+search explores 0 nodes, in time linear in the ground.  The arcs are kept in g,
+with one list of the cycle each arc enters; the test walks the new arc's path.
 
 The checks are incremental.  Depth i is reached only after the points
 0..i-1 passed every check, and a check can change only if it involves the
@@ -82,9 +83,13 @@ class RootConstraint:
     def __post_init__(self) -> None:
         if self.variant not in (UNCONSTRAINED_VARIANT, MAX_OUT_VARIANT, MAX_IN_VARIANT):
             raise ValueError(f"unknown constraint variant {self.variant!r}")
+        if not isinstance(self.require_total_domain, bool):
+            raise ValueError("require_total_domain must be a bool")
         if self.variant != UNCONSTRAINED_VARIANT:
             object.__setattr__(self, "bound", _count(
                 self.bound, 1, "degree-bounded constraints need a positive bound"))
+        elif self.bound is not None:
+            raise ValueError("an unconstrained search takes no degree bound")
 
 
 UNCONSTRAINED = RootConstraint()
@@ -191,7 +196,7 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
     # reads it and keeps it for the rest, so the table holds exactly the entries
     # the furthest-reading depth has read; a depth that reads entry j has counted
     # j + 1 nodes, so none reads past entry ``budget``
-    table = tee((m, tuple(bits(m)), union_of(fimgs, m))
+    table = tee((m, tuple(list(bits(m))), union_of(fimgs, m))
                 for m in islice(_candidates(size, constraint), budget + 1))[0]
 
     imgs = [0] * size
@@ -373,12 +378,11 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
     if _failing_cycle_length(cycles, n) is not None:
         return None, 0
     # the arcs chosen so far form paths and loops of l-cycles (see the module
-    # docstring).  A path is kept at its head h, the cycle no arc enters: its tail,
-    # its number of cycles and the sum of its offsets; its tail c keeps head[c] = h,
-    # and tail[h] is -1 once an arc enters h.  An open path can be closed with any
-    # offset, so it needs only a loop size, which _packs finds
-    count = len(members)
-    head, tail, span, turn = list(range(count)), list(range(count)), [1] * count, [0] * count
+    # docstring).  Cycles take their arcs in the order of their least points, so the
+    # ones whose least point is below the depth have theirs, read off g; into[t] is
+    # the cycle whose arc enters t, else -1.  No path is longer than the largest loop,
+    # and one can be closed with any offset, so it needs only a loop size (_packs)
+    into = [-1] * len(members)
     paths, up = {}, {}  # per length l: _packs's counts and allowed sizes for the l-cycles
     for length, number in cycles.items():
         step = _block(length, n)
@@ -389,57 +393,50 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
         paths[length] = [0] * len(sizes)
         paths[length][1] = number
 
+    def walk(c: int, target: int) -> tuple[int, int, int]:
+        # c, whose least point is the depth, ends its path: that path's cycles and the
+        # sum of their offsets, then target's path's cycles, or 0 if it ends at c
+        a, offsets, x = 1, 0, c
+        while into[x] >= 0:
+            x, a = into[x], a + 1
+            offsets += pos[g[members[x][0]]]
+        b, depth = 1, members[c][0]
+        while members[target][0] < depth:
+            target, b = cycle_of[g[members[target][0]]], b + 1
+        return a, offsets, b if target != c else 0
+
+    def move(counts: list[int], a: int, b: int, k: int) -> None:
+        # k = -1 joins paths of a and b cycles (closes the one of a if b = 0); 1 undoes it
+        counts[a] += k
+        if b:
+            counts[b] += k
+            counts[a + b] -= k
+
     def link(c: int, v: int) -> bool:
         # add the arc from c, whose least point takes the value v, if a root extends it
         target, length = cycle_of[v], len(members[c])
-        if target < 0 or tail[target] < 0 or len(members[target]) != length:
+        if target < 0 or into[target] >= 0 or len(members[target]) != length:
             return False
-        h, counts = head[c], paths[length]
-        if target == h:  # closes h's path into a loop
-            d = span[h]
-            if n % d or (turn[h] + pos[v]) * (n // d) % length != 1 % length:
+        (a, offsets, b), counts = walk(c, target), paths[length]
+        if not b:  # the arc closes c's path into a loop, which g^n must turn by one
+            if n % a or (offsets + pos[v]) * (n // a) % length != 1 % length:
                 return False
-            counts[d] -= 1
-            if _packs(counts, up[length]):
-                tail[h] = -1
-                return True
-            counts[d] += 1
+        elif a + b >= len(counts):  # longer than any allowed loop
             return False
-        a, b = span[h], span[target]
-        if a + b >= len(counts):  # longer than any allowed loop
-            return False
-        counts[a] -= 1
-        counts[b] -= 1
-        counts[a + b] += 1
+        move(counts, a, b, -1)
         if _packs(counts, up[length]):
-            end = tail[target]
-            tail[h], head[end], tail[target] = end, h, -1
-            span[h] += b
-            turn[h] += pos[v] + turn[target]
+            into[target] = c
             return True
-        counts[a] += 1
-        counts[b] += 1
-        counts[a + b] -= 1
+        move(counts, a, b, 1)
         return False
 
     def unlink(c: int, v: int) -> None:
-        target, h, counts = cycle_of[v], head[c], paths[len(members[c])]
-        if target == h:
-            tail[h] = c
-            counts[span[h]] += 1
-            return
-        end = tail[h]
-        tail[h], head[end], tail[target] = c, target, end
-        b = span[target]
-        counts[span[h]] -= 1
-        span[h] -= b
-        turn[h] -= pos[v] + turn[target]
-        counts[span[h]] += 1
-        counts[b] += 1
+        into[cycle_of[v]] = -1
+        a, _, b = walk(c, cycle_of[v])
+        move(paths[len(members[c])], a, b, 1)
 
     full = (1 << size) - 1
-    fpreds = inverse.images  # fpreds[v]: the points x with f(x) = v
-    early = [tuple([x for x in row if x < v]) for v, row in enumerate(inverse.rows)]
+    rows, fpreds = inverse.rows, inverse.images  # the points x with f(x) = v, as a row and a mask
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
 
     g = [0] * size
@@ -462,7 +459,9 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             w = g[members[c][0]]
             image = members[cycle_of[w]]
             allowed = 1 << image[(pos[w] + pos[i]) % len(image)]
-        for x in early[i]:
+        for x in rows[i]:  # ascending
+            if x >= i:
+                break
             allowed &= 1 << fv[g[x]]
         fi = fv[i]
         if fi < i:

@@ -898,6 +898,44 @@ def test_every_permutation_of_up_to_7_points_is_settled_without_backtracking():
                 assert _summary(result, "single") == expected, (image, n)
 
 
+def test_long_arc_paths_match_the_reference():
+    # permutations of k equal l-cycles, whose roots join paths of up to k cycles
+    # (the random maps above rarely join more than 4), under shuffled labels and
+    # with 0-2 tail points, node for node against the reference; and one loop of
+    # sixteen 32-cycles, whose 16th root x -> x + 1 is found without backtracking
+    rng = random.Random(20261030)
+    for length, count, n in [(2, 8, 8), (2, 8, 4), (1, 16, 16), (4, 4, 4), (3, 3, 3),
+                             (5, 3, 3), (3, 6, 3)]:
+        for tails in range(3):
+            cycled = length * count
+            size = cycled + tails
+            label = rng.sample(range(size), size)
+            image = [0] * size
+            for x in range(cycled):
+                image[label[x]] = label[x - x % length + (x + 1) % length]
+            for x in range(cycled, size):
+                image[label[x]] = label[rng.randrange(x)]
+            f = SingleMap(GroundSet(tuple(f"p{x}" for x in range(size))), tuple(image))
+            assert _summary(find_single_root(f, n), "single") == _reference_single(f, n), (
+                f.image, n)
+    result = find_single_root(cyclic_power(512, 16), 16)
+    assert _summary(result, "single") == (
+        "witness", 512 * 513 // 2, tuple((x + 1) % 512 for x in range(512)))
+
+
+def test_a_constraint_refuses_a_field_it_would_ignore():
+    # an unconstrained search reads no bound and a total domain is a yes or no, so
+    # either would make two results of the same search compare unequal
+    with pytest.raises(ValueError, match="no degree bound"):
+        RootConstraint(UNCONSTRAINED.variant, 3)
+    for total in ("yes", 1, None):
+        with pytest.raises(ValueError, match="must be a bool"):
+            RootConstraint(require_total_domain=total)
+        with pytest.raises(ValueError, match="must be a bool"):
+            max_out_degree(2, total)
+    assert RootConstraint(UNCONSTRAINED.variant) == UNCONSTRAINED
+
+
 def test_the_grouping_test_agrees_with_every_grouping():
     # the search groups the open paths of two or more l-cycles and pads each group
     # with one-cycle paths; against trying every grouping of every multiset of path
