@@ -3,8 +3,9 @@
 Points are dense indices ``0..size-1`` with a label table.  A multifunction's
 images are index lists, the sorted ``rows``, so readers that walk edges
 (``invert``, ``profile``, the certificates, path counts, the .mfn format)
-cost O(size + edges).  ``images``, the same sets as integer bitmasks, serve
-``compose``/``iterate`` and the search engines, whose unions and membership
+cost O(size + edges); the single-map search reads only rows, so its memory is
+linear in the ground.  ``images``, the same sets as integer bitmasks, serve
+``compose``/``iterate`` and the multi-map search, whose unions and membership
 tests are word operations on small grounds; a mask of a point near index n
 takes about n/8 bytes, so masks of a large sparse ground are O(n^2) memory.
 No operation changes a value after construction (a multifunction only

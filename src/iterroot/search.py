@@ -2,26 +2,27 @@
 
 The search assigns images point by point in index order; per point the
 candidate image sets are tried in size-then-lexicographic order over bitmask
-values, so the first witness found is the canonically least one and results
-are deterministic.  Pruning uses sound filters only, which cut subtrees that
-hold no root: decided parts of the n-step orbit must stay inside the target
-image (with equality once fully decided), and any root must commute with the
-target.  So a root g of a map f maps f's periodic points onto them, each
-f-cycle onto one as long, and is a bijection there, as g^n = f is: one rule
-for every map, whose fixed points are its 1-cycles and which on a permutation
-holds at every point.  The single-map search applies it exactly, by the
-commutation argument of Isaacs (1950).  Once g takes the value C'[t] at the
-least point b of an l-cycle C = (b, f(b), ...), commutation fixes g(f^k(b)) =
-C'[(t + k) mod l] on all of C: an arc C -> C' with offset t.  The arcs form
-paths and loops of l-cycles.  A loop of d cycles whose offsets sum to S makes
-g^n = f on them iff d | n and S * (n / d) = 1 (mod l), and the open paths must
-group into loops of such sizes.  A value at b is kept only if its arc passes
-this test, which is exact on the periodic points.  So on a permutation the
-search never backtracks: it returns the least root after size * (size + 1) / 2
-nodes, at most size**2.  With no arc, the test is the cycle type of f on its
-periodic points, read before any mask is built: when it rules out a root, the
-search explores 0 nodes, in time linear in the ground.  The arcs are kept in g,
-with one list of the cycle each arc enters; the test walks the new arc's path.
+values (a map's values in ascending order), so the first witness found is the
+canonically least one and results are deterministic.  Pruning uses sound
+filters only, which cut subtrees that hold no root: decided parts of the
+n-step orbit must stay inside the target image (with equality once fully
+decided), and any root must commute with the target.  So a root g of a map f
+maps f's periodic points onto them, each f-cycle onto one as long, and is a
+bijection there, as g^n = f is: one rule for every map, whose fixed points are
+its 1-cycles and which on a permutation holds at every point.  The single-map
+search applies it exactly, by the commutation argument of Isaacs (1950).  Once
+g takes the value C'[t] at the least point b of an l-cycle C = (b, f(b), ...),
+commutation fixes g(f^k(b)) = C'[(t + k) mod l] on all of C: an arc C -> C'
+with offset t.  The arcs form paths and loops of l-cycles.  A loop of d cycles
+whose offsets sum to S makes g^n = f on them iff d | n and S * (n / d) = 1
+(mod l), and the open paths must group into loops of such sizes.  A value at b
+is kept only if its arc passes this test, which is exact on the periodic
+points.  So on a permutation the search never backtracks: it returns the least
+root after size * (size + 1) / 2 nodes, at most size**2.  With no arc, the
+test is the cycle type of f on its periodic points, read before any bound is
+built: when it rules out a root, the search explores 0 nodes, in time linear
+in the ground.  The arcs are kept in g, with one list of the cycle each arc
+enters; the test walks the new arc's path.
 
 The checks are incremental.  Depth i is reached only after the points
 0..i-1 passed every check, and a check can change only if it involves the
@@ -29,18 +30,20 @@ newly decided point i, so at depth i only these are re-checked:
 
 - commutation at i, and at the earlier x with i in F(x) (from F inverted);
   these depend on the earlier points alone except for G(i), so they become
-  per-depth bounds on the candidate image (a set of allowed values for a map);
+  per-depth bounds on the candidate image.  For a map the bound is a sequence
+  of values: one pinned value, the points that f maps to g(f(i)), or every
+  point.  It holds ints, as every set of the single-map search does, so its
+  memory is linear in the ground;
 - the orbit of every decided x whose walk through decided points meets i
   within n - 1 steps, i itself included.  Both searches find these x by a
   reverse walk from i over the edges of the earlier points.  The multi-map
   search re-walks each orbit.  The single-map search does the reverse walk
   once per depth: the points that first meet i after k steps must all have
   the same f-image, which is then where step n - k of the walk from i must
-  end, as f(i) is for step n.  These levels are disjoint sets of earlier
+  end, as f(i) is for step n.  These levels are disjoint lists of earlier
   points, so a depth keeps one list of at most i + 1 ends, indexed by step.
-  A one-point level {x}, the common case, costs one lookup: its end is f(x),
-  and the next level is the points that map to x.  Each value is checked by
-  one forward walk from i that tests only the steps in the list.
+  Each value is checked by one forward walk from i that tests only the steps
+  in the list.
 
 No walk runs for n steps when n is large.  A single-map walk from i through
 the i + 1 decided points that has made more than i steps has repeated a
@@ -151,8 +154,10 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
     n = _count(n, 2, "root order must be at least 2")
     budget = _count(budget, 1, "budget must be positive")
     size = target.ground.size
-    if max_points is not None and size > max_points:
-        raise ValueError(f"ground of {size} points exceeds max_points={max_points}")
+    if max_points is not None:
+        max_points = _count(max_points, 1, "max_points must be positive")
+        if size > max_points:
+            raise ValueError(f"ground of {size} points exceeds max_points={max_points}")
     start = time.perf_counter()
     try:
         witness, nodes = engine(n, budget)
@@ -354,8 +359,8 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
     # 1-cycles) onto them, each f-cycle onto one as long, and is a bijection there, as
     # g^n = f is; a non-periodic point may go anywhere.  The periodic points are what
     # is left once the points no remaining point maps to are peeled off
-    inverse = invert(f)
-    hits = list(map(len, inverse.rows))  # hits[y]: how many points x not peeled off have f(x) = y
+    rows = invert(f).rows  # rows[v]: the points x with f(x) = v, ascending
+    hits = list(map(len, rows))  # hits[y]: how many points x not peeled off have f(x) = y
     tails = [x for x in range(size) if not hits[x]]
     for x in tails:  # grows as it is read, and each point is peeled once
         hits[fv[x]] -= 1
@@ -435,70 +440,60 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
         a, _, b = walk(c, cycle_of[v])
         move(paths[len(members[c])], a, b, 1)
 
-    full = (1 << size) - 1
-    rows, fpreds = inverse.rows, inverse.images  # the points x with f(x) = v, as a row and a mask
+    full = range(size)  # the values of a point that nothing pins
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
 
     g = [0] * size
-    preds = [0] * size  # at depth i, preds[v] holds the points x < i with g(x) = v
+    preds = [[] for _ in range(size)]  # at depth i, preds[v] lists the points x < i with g(x) = v
     nodes = 0
 
     def rec(i: int) -> bool:
         nonlocal nodes
         if i == size:
             return True
-        bit = 1 << i
         # commutation f(g(x)) = g(f(x)) at the earlier x with f(x) = i fixes
         # g(i) = f(g(x)), and at i itself it fixes f(g(i)) = g(f(i)) once f(i) is
-        # decided; on an f-cycle, the arc at its least point fixes the other points
+        # decided; on an f-cycle, the arc at its least point fixes the other points.
+        # values is what they leave for g(i), in ascending order
         c = cycle_of[i]
         least = c >= 0 and not pos[i]
-        if c < 0 or least:
-            allowed = full
-        else:
+        values = full
+        if c >= 0 and not least:
             w = g[members[c][0]]
             image = members[cycle_of[w]]
-            allowed = 1 << image[(pos[w] + pos[i]) % len(image)]
+            values = (image[(pos[w] + pos[i]) % len(image)],)
         for x in rows[i]:  # ascending
             if x >= i:
                 break
-            allowed &= 1 << fv[g[x]]
+            v = fv[g[x]]
+            values = (v,) if v in values else ()
         fi = fv[i]
         if fi < i:
-            allowed &= fpreds[g[fi]]
+            values = rows[g[fi]] if values is full else [v for v in values if fv[v] == g[fi]]
         last = -1  # every value v counts as a node, visited or not
-        if allowed:
+        if values:
             # ends[n - j] is where step j of the walk from i must end; step n ends
             # at f(i).  An earlier point whose walk first meets i after k steps has
             # a complete orbit iff the walk from i takes n - k steps, and then it
             # must end at the one f-image of level k (-1, which no walk reaches,
-            # when level k has several images).  The levels are disjoint sets of
-            # earlier points, so there are at most i, and a one-point level {x}
-            # ends at f(x) and leads to the level preds[x].
+            # when level k has several images).  The levels are disjoint lists of
+            # earlier points, so there are at most i, and level k + 1 joins the
+            # preds of the points of level k.
             ends = [fi]
-            level, x = bit, i  # x: the least point of the level
+            level = preds[i]
             for _ in levels:
-                if level & (level - 1):
-                    m, level = level, 0
-                    while m:
-                        low = m & -m
-                        level |= preds[low.bit_length() - 1]
-                        m ^= low
-                else:
-                    level = preds[x]
                 if not level:
                     break
-                low = level & -level
-                x = low.bit_length() - 1
-                y = fv[x]
-                ends.append(y if level == low or not level & ~fpreds[y] else -1)
+                following, end = [], fv[level[0]]
+                for x in level:
+                    following += preds[x]
+                    if fv[x] != end:
+                        end = -1
+                ends.append(end)
+                level = following
             top = len(ends) - 1
             lo = n - top  # the lowest checked step
-            m = allowed
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
+            for v in values:
                 nodes += v - last
                 last = v
                 if nodes > budget:
@@ -527,10 +522,10 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                         continue
                 if least and not link(c, v):
                     continue
-                preds[v] |= bit
+                preds[v].append(i)
                 if rec(i + 1):
                     return True
-                preds[v] ^= bit
+                preds[v].pop()
                 if least:
                     unlink(c, v)
         nodes += size - 1 - last

@@ -356,6 +356,7 @@ def test_union_of_matches_the_naive_loop():
 _F1 = f1(3)
 _FIG_F, _FIG_G = fig67()
 _SQUARE = ComplexPolynomial((0, 0, 1))
+_ONE_POINT = identity_map(GroundSet(("p",)))  # within max_points=1, the least value
 
 # every count a library function takes: (the call, the least count, its message)
 _COUNTS = {
@@ -375,6 +376,8 @@ _COUNTS = {
                       "root order must be at least 2"),
     "search-order": (lambda n: find_single_root(_FIG_F, n), 2, "root order must be at least 2"),
     "search-budget": (lambda b: find_multi_root(_F1, 2, budget=b), 1, "budget must be positive"),
+    "search-max_points": (lambda m: find_single_root(_ONE_POINT, 2, max_points=m), 1,
+                          "max_points must be positive"),
     "max_out_degree": (max_out_degree, 1, "degree-bounded constraints need a positive bound"),
     "max_in_degree": (max_in_degree, 1, "degree-bounded constraints need a positive bound"),
     "f1": (f1, 3, "depth must be at least 3"),

@@ -1,9 +1,10 @@
-"""``check``, ``invert`` and ``pullback`` of a 200,000-point map, each in a process
-capped at 1 GiB of address space.
+"""``check``, ``invert`` and ``pullback`` of a 200,000-point map, and a one-node
+``search`` of a 200,000-cycle, each in a process capped at 1 GiB of address space.
 
 Size-bit image masks made these commands quadratic: at 100,000 points ``check``
-took 1.2 GB.  On index rows they are O(size + edges), so the cap is far above
-what they need, and a return to masks fails here with MemoryError.
+took 1.2 GB, and the search of the 200,000-cycle ran out of memory under the cap.
+On index rows and lists they are O(size + edges), so the cap is far above what
+they need, and a return to masks fails here with MemoryError.
 """
 import os
 import subprocess
@@ -64,3 +65,17 @@ def test_invert_and_pullback_of_a_large_map_print_its_fibres(large_map):
         proc = _run(command, str(path))
         assert (proc.returncode, proc.stderr) == (0, ""), (command, proc.stderr)
         assert proc.stdout == expected, command
+
+
+def test_search_of_a_large_cycle_reaches_its_budget_in_bounded_memory(tmp_path):
+    # x -> x + 7 mod SIZE is one SIZE-cycle, which passes the cycle-type test at
+    # order 3 (at order 2 it is refused before the search starts), so the search
+    # sets up every point's bounds and explores its one node
+    made = _run("instance", "cyclic-power", "--modulus", str(SIZE), "--exponent", "7")
+    assert made.returncode == 0 and not made.stderr, made.stderr
+    path = tmp_path / "cycle.mfn"
+    path.write_text(made.stdout, encoding="utf-8")
+    proc = _run("search", str(path), "--order", "3", "--budget", "1", "--json")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == ('{\n  "nodes_explored": "1",\n  "order": 3,\n'
+                           '  "outcome": "budget",\n  "witness": null\n}\n')

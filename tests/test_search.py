@@ -724,8 +724,9 @@ def test_single_search_matches_the_reference_at_every_budget():
     # budget b stops a search at node b + 1, which it reports as b nodes, and
     # b = nodes + 1 lets the search finish.
     # Seven points would need 1,000-5,000 nodes, and a sweep over every
-    # budget costs the square of that.  The maps must meet every shape of
-    # check the engine has a branch for.
+    # budget costs the square of that.  The maps must meet every shape a
+    # check takes: reverse-walk levels of one point, of several points with
+    # one f-image and with several, and a walk that jumps onto its cycle.
     rng = random.Random(20261019)
     cases = collections.Counter()
     for trial in range(40):
