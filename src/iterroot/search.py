@@ -54,9 +54,12 @@ and reads step n off the cycle.  What a node costs is thus bounded by the
 ground, not by n.
 
 A node is one candidate image tried at one point, counted whether or not
-the filters allow it; the single-map search counts the values it excludes
-without visiting them.  A search therefore explores exactly the nodes that
-a full re-check of every decided point at every node would explore.
+the filters allow it.  Both searches count the candidates a depth's bounds
+exclude without visiting them, by the index of the next one they allow: the
+multi-map search reads its candidate table through one view per pair of
+bounds (upper, lower), which holds the entries inside them, each with its
+index.  A search therefore explores exactly the nodes that a full re-check of
+every decided point at every node would explore.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ import time
 from dataclasses import dataclass, field
 from copy import copy
 from itertools import islice, tee
-from math import gcd
+from math import comb, gcd
 
 from .core import Multifunction, SingleMap, _count, bits, invert, iterate, union_of
 
@@ -179,6 +182,10 @@ def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCON
     """Search for a multifunction G with G^n = F inside the constraint class; the
     budget bounds memory too, as candidate images are built only as far as the
     depths read them, at most ``budget + 1``."""
+    if not isinstance(F, Multifunction):
+        raise TypeError("find_multi_root requires a multifunction")
+    if not isinstance(constraint, RootConstraint):
+        raise TypeError("the search constraint must be a RootConstraint")
     return _search(F, n, constraint, budget, max_points,
                    lambda n, b: _multi_engine(F, n, constraint, b))
 
@@ -187,6 +194,8 @@ def find_single_root(f: SingleMap, n: int, budget: int = DEFAULT_BUDGET,
                      max_points: int | None = None) -> SearchResult:
     """Search for a total map g with g^n = f, in canonical value order; either
     finder refuses a ground by its size only when ``max_points`` is given."""
+    if not isinstance(f, SingleMap):
+        raise TypeError("find_single_root requires a single map")
     return _search(f, n, None, budget, max_points, lambda n, b: _single_engine(f, n, b))
 
 
@@ -196,13 +205,32 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
     in_bound = constraint.bound if constraint.variant == MAX_IN_VARIANT else None
     fimgs = F.images
     fpreds = invert(F).images
-    # per candidate m: its points, and F(m) for the commutation check at i.  Each
-    # depth reads its own copy of one tee, which builds an entry when a depth first
-    # reads it and keeps it for the rest, so the table holds exactly the entries
-    # the furthest-reading depth has read; a depth that reads entry j has counted
-    # j + 1 nodes, so none reads past entry ``budget``
-    table = tee((m, tuple(list(bits(m))), union_of(fimgs, m))
-                for m in islice(_candidates(size, constraint), budget + 1))[0]
+    full = (1 << size) - 1
+    # the number of candidates in the class, which a depth that reads them all counts
+    highest = min(constraint.bound, size) if constraint.variant == MAX_OUT_VARIANT else size
+    count = sum(comb(size, k) for k in range(1, highest + 1)) + (
+        not constraint.require_total_domain)
+    # per candidate m: its index j in the class, its points, and F(m) for the
+    # commutation check at i, built from the entry of m without its lowest point,
+    # which is one point smaller and so comes earlier; ``built`` maps each mask the
+    # table holds to its entry
+    built = {0: (-1, 0, (), 0)}  # the base of the singletons when 0 is no candidate
+
+    def entries():
+        for j, m in enumerate(islice(_candidates(size, constraint), budget + 1)):
+            _, _, points, fm = built[m & (m - 1)]
+            y = (m & -m).bit_length() - 1
+            built[m] = entry = (j, m, (y,) + points, fm | fimgs[y]) if m else (j, 0, (), 0)
+            yield entry
+
+    # A depth reads the table through the view of its bounds (upper, lower): a tee
+    # of the entries inside them, over its own copy of the table's one tee, shared
+    # by the depths with those bounds (the view of no bounds is the table).  The
+    # table builds an entry when a view first reads it and keeps it for the rest,
+    # so it holds exactly the entries the furthest-reading view has read, never
+    # more than budget + 1: a depth that passes entry j has counted j + 1 nodes
+    table = tee(entries())[0]
+    views = {(full, 0): table}
 
     imgs = [0] * size
     preds = [0] * size  # at depth i, preds[y] holds the points x < i with y in imgs[x]
@@ -243,12 +271,16 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
         # G(i) joins G(F(x)), whose other part already lies in F(G(x)).  So
         # G(i) must lie in F(G(x)), and once F(x) is decided it must also
         # cover what the other part misses.
-        upper, lower = ~0, 0
+        upper, lower = full, 0
         for x in bits(fpreds[i] & earlier):
             fg = union_of(fimgs, imgs[x])
             upper &= fg
             if not fimgs[x] & ~decided:
                 lower |= fg & ~union_of(imgs, fimgs[x] & earlier)
+        if in_bound is not None:  # a point with in_bound preimages takes no more
+            for y in bits(upper):
+                if preds[y].bit_count() >= in_bound:
+                    upper ^= 1 << y
         # commutation at i itself, against F(G(i)) from the table
         fi = fimgs[i]
         gf_rest = union_of(imgs, fi & earlier)
@@ -263,35 +295,41 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
                 break
             reach |= frontier
         affected = tuple(bits(reach))
-        for m, points, fg in copy(table):
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            if m & ~upper or lower & ~m:
-                continue
-            gf = gf_rest | m if loops else gf_rest
-            if (gf != fg) if fi_decided else (gf & ~fg):
-                continue
-            if in_bound is not None and any(preds[y].bit_count() >= in_bound
-                                            for y in points):
-                continue
-            imgs[i] = m
-            for x in affected:
-                if not orbit_fits(x, decided):
-                    break
-            else:
-                for y in points:
-                    preds[y] |= bit
-                if rec(i + 1):
-                    return True
-                for y in points:
-                    preds[y] ^= bit
+        last = -1  # every candidate j counts as a node, visited or not
+        if not lower & ~upper:
+            key = upper, lower
+            if key not in views:
+                views[key] = tee(e for e in copy(table)
+                                 if not e[1] & ~upper and not lower & ~e[1])[0]
+            for j, m, points, fg in copy(views[key]):
+                nodes += j - last
+                last = j
+                if nodes > budget:
+                    raise _BudgetExceeded
+                gf = gf_rest | m if loops else gf_rest
+                if (gf != fg) if fi_decided else (gf & ~fg):
+                    continue
+                imgs[i] = m
+                for x in affected:
+                    if not orbit_fits(x, decided):
+                        break
+                else:
+                    for y in points:
+                        preds[y] |= bit
+                    if rec(i + 1):
+                        return True
+                    for y in points:
+                        preds[y] ^= bit
+        nodes += count - 1 - last
+        if nodes > budget:
+            raise _BudgetExceeded
         return False
 
     try:
         return (Multifunction(F.ground, tuple(imgs)) if rec(0) else None), nodes
     finally:
         del rec  # rec's closure holds rec: break the cycle so the lists are freed now
+        views.clear()  # and the views, even while a traceback holds this frame
 
 
 def _block(length: int, n: int) -> int:

@@ -46,6 +46,7 @@ from iterroot.search import (
     max_in_degree,
     max_out_degree,
 )
+from multi_census import census as multi_census
 from single_census import census
 
 
@@ -321,6 +322,16 @@ def test_a_large_order_costs_what_a_small_one_does(tmp_path, instance, extra, co
 
 def test_parameter_validation():
     F = random_multifunction(3, seed=0)
+    f = random_single_map(3, 0)
+    # a target or constraint of the wrong type is refused at entry, in one line
+    for run, message in [
+        (lambda: find_multi_root(F, 2, None), "must be a RootConstraint"),
+        (lambda: find_multi_root(F, 2, "max-out"), "must be a RootConstraint"),
+        (lambda: find_multi_root(f, 2), "requires a multifunction"),
+        (lambda: find_single_root(F, 2), "requires a single map"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            run()
     with pytest.raises(ValueError):
         find_multi_root(F, 1)
     with pytest.raises(ValueError):
@@ -785,6 +796,9 @@ def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
     (lambda: f1(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 6_864),
     (lambda: f1(4), 2, max_out_degree(2, require_total_domain=True), "exhausted", 18_840),
     (lambda: f2(2), 2, max_out_degree(2, require_total_domain=True), "exhausted", 17_358),
+    # the search workload's two heaviest multi-map requests
+    (lambda: f1(5), 2, max_out_degree(2, require_total_domain=True), "exhausted", 44_802),
+    (lambda: f2(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 142_256),
     # bench-shaped permutations, which the search workload gives 30,000 nodes: a
     # 12-cycle has no square root by its cycle type, so it is refused with no
     # node explored, while the 13-cycle's square root is found at 91 of them, one
@@ -986,6 +1000,18 @@ def test_every_small_map_keeps_its_outcome_witness_and_nodes():
         17_065, 756_520,
         "e44e20ece6717e286dda708f6d6b22c58043104c800a84a64162ab0d2445367e",
         "8172d27d3f69e893fe29dc30610c549d83dc03424f4893164352499a12ffd83b")
+
+
+def test_every_small_multifunction_keeps_its_outcome_witness_and_nodes():
+    # every multifunction on 3 points at orders 2-3, unconstrained, at out- or
+    # in-degree 1 and at out-degree 2 on a total domain, hashed result by result as
+    # the map census is.  CI runs every multifunction on 4 points at order 2,
+    # unconstrained
+    assert multi_census(3, (2, 3), (UNCONSTRAINED, max_out_degree(1), max_in_degree(1),
+                                    max_out_degree(2, require_total_domain=True))) == (
+        4_096, 110_588,
+        "a16d82a14907a1acd50fed2144b33dd643fac6881fc7e78d48c3cab83427ef75",
+        "6c3037a447e840797ee81f39388c4e6d19ff6a105aaf460fbb321e6e73a50ee0")
 
 
 def test_a_refusal_by_the_periodic_cycle_type_is_exact():
