@@ -88,11 +88,16 @@ def parse(text: str) -> Multifunction | SingleMap:
 
 def serialize(value: Multifunction | SingleMap) -> str:
     labels = value.ground.labels
-    lines = ["points " + " ".join(labels)]
-    if not all(labels) or _UNWRITABLE.search("".join(labels)):
-        bad = next(lab for lab in labels if not lab or _UNWRITABLE.search(lab))
+    try:
+        writable = all(labels) and not _UNWRITABLE.search("".join(labels))
+    except TypeError:  # a label that is no string
+        writable = False
+    if not writable:
+        bad = next(lab for lab in labels
+                   if not isinstance(lab, str) or not lab or _UNWRITABLE.search(lab))
         raise ValueError(f"label {bad!r} cannot be written to .mfn: "
                          "labels must be nonempty, with no whitespace or '#'")
+    lines = ["points " + " ".join(labels)]
     if isinstance(value, SingleMap):
         lines.append("kind single")
         lines += [f"{labels[x]} -> {labels[y]}" for x, y in enumerate(value.image)]

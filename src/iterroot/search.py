@@ -30,10 +30,11 @@ newly decided point i, so at depth i only these are re-checked:
 
 - commutation at i, and at the earlier x with i in F(x) (from F inverted);
   these depend on the earlier points alone except for G(i), so they become
-  per-depth bounds on the candidate image.  For a map the bound is a sequence
-  of values: one pinned value, the points that f maps to g(f(i)), or every
-  point.  It holds ints, as every set of the single-map search does, so its
-  memory is linear in the ground;
+  per-depth bounds on the candidate image (for a multifunction, at i once F(i)
+  is decided: G(F(i)) = F(G(i)) must then hold F(y) for every y in G(i)).  For
+  a map the bound is a sequence of values: one pinned value, the points that f
+  maps to g(f(i)), or every point.  It holds ints, as every set of the
+  single-map search does, so its memory is linear in the ground;
 - the orbit of every decided x whose walk through decided points meets i
   within n - 1 steps, i itself included.  Both searches find these x by a
   reverse walk from i over the edges of the earlier points.  The multi-map
@@ -56,17 +57,16 @@ ground, not by n.
 A node is one candidate image tried at one point, counted whether or not
 the filters allow it.  Both searches count the candidates a depth's bounds
 exclude without visiting them, by the index of the next one they allow: the
-multi-map search reads its candidate table through one view per pair of
-bounds (upper, lower), which holds the entries inside them, each with its
-index.  A search therefore explores exactly the nodes that a full re-check of
-every decided point at every node would explore.
+multi-map search enumerates the masks between its bounds (upper, lower) in
+the class's order, each with its index there, and holds no other candidate.
+A search therefore explores exactly the nodes that a full re-check of every
+decided point at every node would explore.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from copy import copy
-from itertools import islice, tee
+from itertools import accumulate
 from math import comb, gcd
 
 from .core import Multifunction, SingleMap, _count, bits, invert, iterate, union_of
@@ -130,20 +130,30 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _candidates(size: int, constraint: RootConstraint):
-    """Generate the candidate image masks in size-then-value order, so a caller
-    builds only as many as it reads.  Each popcount level is walked by Gosper's
-    hack, which steps to the next larger mask with as many set bits."""
-    if not constraint.require_total_domain:
-        yield 0
-    highest = min(constraint.bound, size) if constraint.variant == MAX_OUT_VARIANT else size
-    for k in range(1, highest + 1):
-        m = (1 << k) - 1
-        while not m >> size:
-            yield m
-            low = m & -m
-            ripple = m + low
-            m = ripple | ((ripple ^ m) >> 2) // low
+def _masks(upper: int, need: int, t: int, j: int, m: int, fm: int, fimgs: tuple[int, ...]):
+    """Yield (index, mask, F(mask)) for each mask m | s, in value order, where s
+    holds t points of upper, need (at most t of them) among them.  Its index is
+    j plus s's colex rank C(c_1, 1) + ... + C(c_t, t) over its points c_1 < ...
+    < c_t (Knuth, TAOCP 4A, 7.2.1.3), and fm is F(m).  The points are chosen
+    from the top: c_t ascending, then the rest below it."""
+    if not t:
+        yield j, m, fm
+        return
+    rest = upper  # c_t has t - 1 points of upper below it
+    for _ in range(t - 1):
+        rest &= rest - 1
+    if need:  # and no point of need above it, and is need's highest if need has t
+        h = 1 << need.bit_length() - 1
+        rest &= h if need.bit_count() == t else -h
+    while rest:  # bits() inlined: this is the hottest loop
+        low = rest & -rest
+        y = low.bit_length() - 1
+        if t == 1:
+            yield j + y, m | low, fm | fimgs[y]
+        else:
+            yield from _masks(upper & (low - 1), need & ~low, t - 1, j + comb(y, t), m | low,
+                              fm | fimgs[y], fimgs)
+        rest ^= low
 
 
 def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstraint | None,
@@ -179,9 +189,9 @@ def _search(target: Multifunction | SingleMap, n: int, constraint: RootConstrain
 
 def find_multi_root(F: Multifunction, n: int, constraint: RootConstraint = UNCONSTRAINED,
                     budget: int = DEFAULT_BUDGET, max_points: int | None = None) -> SearchResult:
-    """Search for a multifunction G with G^n = F inside the constraint class; the
-    budget bounds memory too, as candidate images are built only as far as the
-    depths read them, at most ``budget + 1``."""
+    """Search for a multifunction G with G^n = F inside the constraint class; each
+    depth enumerates its candidate images as it reads them, so the memory follows
+    the ground, not the budget."""
     if not isinstance(F, Multifunction):
         raise TypeError("find_multi_root requires a multifunction")
     if not isinstance(constraint, RootConstraint):
@@ -206,31 +216,11 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
     fimgs = F.images
     fpreds = invert(F).images
     full = (1 << size) - 1
-    # the number of candidates in the class, which a depth that reads them all counts
+    # bases[k]: the index of the class's first k-point candidate, and bases[-1] the
+    # number of candidates; the empty image is one unless the domain must be total
     highest = min(constraint.bound, size) if constraint.variant == MAX_OUT_VARIANT else size
-    count = sum(comb(size, k) for k in range(1, highest + 1)) + (
-        not constraint.require_total_domain)
-    # per candidate m: its index j in the class, its points, and F(m) for the
-    # commutation check at i, built from the entry of m without its lowest point,
-    # which is one point smaller and so comes earlier; ``built`` maps each mask the
-    # table holds to its entry
-    built = {0: (-1, 0, (), 0)}  # the base of the singletons when 0 is no candidate
-
-    def entries():
-        for j, m in enumerate(islice(_candidates(size, constraint), budget + 1)):
-            _, _, points, fm = built[m & (m - 1)]
-            y = (m & -m).bit_length() - 1
-            built[m] = entry = (j, m, (y,) + points, fm | fimgs[y]) if m else (j, 0, (), 0)
-            yield entry
-
-    # A depth reads the table through the view of its bounds (upper, lower): a tee
-    # of the entries inside them, over its own copy of the table's one tee, shared
-    # by the depths with those bounds (the view of no bounds is the table).  The
-    # table builds an entry when a view first reads it and keeps it for the rest,
-    # so it holds exactly the entries the furthest-reading view has read, never
-    # more than budget + 1: a depth that passes entry j has counted j + 1 nodes
-    table = tee(entries())[0]
-    views = {(full, 0): table}
+    least = int(constraint.require_total_domain)
+    bases = list(accumulate((comb(size, k) for k in range(highest + 1)), initial=-least))
 
     imgs = [0] * size
     preds = [0] * size  # at depth i, preds[y] holds the points x < i with y in imgs[x]
@@ -281,11 +271,15 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
             for y in bits(upper):
                 if preds[y].bit_count() >= in_bound:
                     upper ^= 1 << y
-        # commutation at i itself, against F(G(i)) from the table
+        # Commutation at i itself: F(G(i)) = G(F(i)), which holds gf_rest, and G(i)
+        # if i is in F(i), and no more once F(i) is decided.  Then F(y) lies within
+        # these for every y in G(i), so F's preimages of the rest leave upper
         fi = fimgs[i]
         gf_rest = union_of(imgs, fi & earlier)
         loops = fi & bit
         fi_decided = not fi & ~decided
+        if fi_decided:
+            upper &= ~union_of(fpreds, full & ~(gf_rest | upper if loops else gf_rest))
         # orbits: only the points whose decided walk meets i within n - 1
         # steps can change, and those walks use no edge of i before they meet it
         reach = frontier = bit
@@ -297,30 +291,27 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
         affected = tuple(bits(reach))
         last = -1  # every candidate j counts as a node, visited or not
         if not lower & ~upper:
-            key = upper, lower
-            if key not in views:
-                views[key] = tee(e for e in copy(table)
-                                 if not e[1] & ~upper and not lower & ~e[1])[0]
-            for j, m, points, fg in copy(views[key]):
-                nodes += j - last
-                last = j
-                if nodes > budget:
-                    raise _BudgetExceeded
-                gf = gf_rest | m if loops else gf_rest
-                if (gf != fg) if fi_decided else (gf & ~fg):
-                    continue
-                imgs[i] = m
-                for x in affected:
-                    if not orbit_fits(x, decided):
-                        break
-                else:
-                    for y in points:
-                        preds[y] |= bit
-                    if rec(i + 1):
-                        return True
-                    for y in points:
-                        preds[y] ^= bit
-        nodes += count - 1 - last
+            for k in range(max(least, lower.bit_count()), min(highest, upper.bit_count()) + 1):
+                for j, m, fg in _masks(upper, lower, k, bases[k], 0, 0, fimgs):
+                    nodes += j - last
+                    last = j
+                    if nodes > budget:
+                        raise _BudgetExceeded
+                    gf = gf_rest | m if loops else gf_rest
+                    if (gf != fg) if fi_decided else (gf & ~fg):
+                        continue
+                    imgs[i] = m
+                    for x in affected:
+                        if not orbit_fits(x, decided):
+                            break
+                    else:
+                        for y in bits(m):
+                            preds[y] |= bit
+                        if rec(i + 1):
+                            return True
+                        for y in bits(m):
+                            preds[y] ^= bit
+        nodes += bases[-1] - 1 - last
         if nodes > budget:
             raise _BudgetExceeded
         return False
@@ -329,7 +320,6 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
         return (Multifunction(F.ground, tuple(imgs)) if rec(0) else None), nodes
     finally:
         del rec  # rec's closure holds rec: break the cycle so the lists are freed now
-        views.clear()  # and the views, even while a traceback holds this frame
 
 
 def _block(length: int, n: int) -> int:

@@ -9,12 +9,15 @@ stronger filter may change the node digest alone.
 
 Run as ``python tests/multi_census.py 4 2`` (with ``src`` on the path) to print
 the number of searches, their nodes and the two digests of every multifunction
-on 4 points at order 2, unconstrained; more orders may follow the first."""
+on 4 points at order 2, unconstrained; more orders may follow the first, and
+each ``--class VARIANT[:BOUND][:total]`` (``max-in:1``, ``max-out:2:total``,
+``unconstrained:total``) replaces the unconstrained class with the ones named,
+searched in the order given."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
-import sys
 
 from iterroot.core import GroundSet, Multifunction
 from iterroot.search import UNCONSTRAINED, RootConstraint, find_multi_root
@@ -41,8 +44,22 @@ def census(size: int, orders: tuple[int, ...],
     return searches, nodes, verdicts.hexdigest(), node_counts.hexdigest()
 
 
+def constraint_class(spec: str) -> RootConstraint:
+    """The class that ``VARIANT[:BOUND][:total]`` names."""
+    variant, *rest = spec.split(":")
+    total = rest[-1:] == ["total"]
+    (bound,) = rest[:len(rest) - total] or [None]  # ValueError on more parts
+    return RootConstraint(variant, None if bound is None else int(bound), total)
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("size", type=int)
+    parser.add_argument("orders", type=int, nargs="+")
+    parser.add_argument("--class", dest="classes", type=constraint_class, action="append",
+                        metavar="VARIANT[:BOUND][:total]")
+    args = parser.parse_args()
     searches, nodes, verdict_digest, node_digest = census(
-        int(sys.argv[1]), tuple(map(int, sys.argv[2:])), (UNCONSTRAINED,))
+        args.size, tuple(args.orders), tuple(args.classes or (UNCONSTRAINED,)))
     print(f"{searches} searches, {nodes} nodes, verdict digest {verdict_digest}, "
           f"node digest {node_digest}")

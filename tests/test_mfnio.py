@@ -148,6 +148,7 @@ def test_error_messages_carry_line_numbers():
     (("a\tb",), "a\tb"),
     (("a", "b\n"), "b\n"),
     (("a b", ""), "a b"),
+    ((1, 2), 1),
 ])
 def test_serialize_refuses_a_label_the_format_cannot_hold(labels, bad):
     for value in (SingleMap(GroundSet(labels), (0,) * len(labels)),

@@ -25,6 +25,7 @@ from iterroot.core import (
     identity_multifunction,
     iterate,
     profile,
+    union_of,
 )
 from iterroot.instances import (
     cyclic_power,
@@ -209,43 +210,35 @@ def _run_cli(*argv, ceiling=512 * 2**20):
                           capture_output=True, text=True, timeout=60, preexec_fn=limit)
 
 
-def test_the_budget_bounds_the_candidate_table(tmp_path):
-    # 2**33 candidate images exist, and a search builds only the budget + 1 it can reach
+def test_a_search_takes_memory_by_the_ground_not_the_budget(tmp_path):
+    # 2**33 candidate images exist, and a depth enumerates only those it reads, so
+    # a budget of 100,000 nodes takes no more memory than a budget of one
     F = random_multifunction(33, 3, density=0.2)
     tracemalloc.start()
     try:
-        result = find_multi_root(F, 2, budget=1000)
+        result = find_multi_root(F, 2, budget=100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (result.outcome, result.nodes_explored) == ("budget", 1000)
+    assert (result.outcome, result.nodes_explored) == ("budget", 100_000)
     assert peak < 4 * 2**20
     path = tmp_path / "random33.mfn"
     path.write_text(serialize(F), encoding="utf-8")
-    proc = _run_cli("search", str(path), "--order", "2", "--budget", "1000", "--json")
+    proc = _run_cli("search", str(path), "--order", "2", "--budget", "100000", "--json")
     assert proc.returncode == 3, proc.stderr
-    assert json.loads(proc.stdout)["nodes_explored"] == "1000"
+    assert json.loads(proc.stdout)["nodes_explored"] == "100000"
     # a ground is refused by its size only when the caller asks for it
     with pytest.raises(ValueError, match="ground of 6 points exceeds max_points=5"):
         find_multi_root(random_multifunction(6, 0), 2, max_points=5)
 
 
-def test_the_candidate_table_is_built_only_as_far_as_read(monkeypatch):
+def test_each_depth_of_the_identity_root_reads_up_to_its_own_point():
     # depth i of the identity's square root reads the empty image and the
-    # singletons up to {i}: i + 2 nodes, and 21 masks in all for 20 points
-    from iterroot import search
-    candidates, pulled = search._candidates, []
-
-    def counting(size, constraint):
-        for m in candidates(size, constraint):
-            pulled.append(m)
-            yield m
-
-    monkeypatch.setattr(search, "_candidates", counting)
+    # singletons up to {i}: i + 2 nodes, 230 in all for 20 points
     ground = GroundSet(tuple(f"p{i}" for i in range(20)))
     result = find_multi_root(identity_multifunction(ground), 2)
     assert (result.outcome, result.nodes_explored) == ("witness", 230)
-    assert len(pulled) == 21
+    assert result.witness == identity_multifunction(ground)
 
 
 def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
@@ -280,11 +273,25 @@ def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
 
 
 def test_a_request_out_of_memory_exits_2_with_one_line(tmp_path):
-    # exit 1 would read as "exhausted", a verdict the search never reached
-    path = tmp_path / "random33.mfn"
-    path.write_text(serialize(random_multifunction(33, 3, density=0.2)), encoding="utf-8")
+    # exit 1 would read as "exhausted", a verdict the search never reached.  The
+    # 40,000-cycle as a multifunction needs one 40,000-bit preimage mask per point
+    made = _run_cli("instance", "cyclic-power", "--modulus", "40000", "--exponent", "1")
+    assert made.returncode == 0, made.stderr
+    path = tmp_path / "cycle40000-multi.mfn"
+    path.write_text(made.stdout.replace("kind single\n", ""), encoding="utf-8")
     proc = _run_cli("search", str(path), "--order", "2", ceiling=128 * 2**20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_a_default_budget_search_of_33_points_fits_in_64_mib(tmp_path):
+    # the search holds the candidates of the depths it is in, not the 5,000,001
+    # its budget could reach
+    path = tmp_path / "random33.mfn"
+    path.write_text(serialize(random_multifunction(33, 3, density=0.2)), encoding="utf-8")
+    proc = _run_cli("search", str(path), "--order", "2", "--json", ceiling=64 * 2**20)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout) == {"nodes_explored": "5000000", "order": 2,
+                                       "outcome": "budget", "witness": None}
 
 
 _EXHAUSTED_AT_10_7 = {"order": 10_000_000, "outcome": "exhausted", "witness": None}
@@ -779,15 +786,32 @@ def test_incremental_multi_search_explores_the_reference_nodes():
         assert got == _reference_multi(F, n, constraint, budget), (F.images, n, constraint)
 
 
-def test_candidates_by_popcount_equal_the_sorted_and_filtered_list():
-    from iterroot.search import _candidates
-    for size in range(1, 11):
-        for bound in (1, 2, 3, size, size + 4):
-            for total in (False, True):
-                for constraint in (RootConstraint(require_total_domain=total),
-                                   max_out_degree(bound, total), max_in_degree(bound, total)):
-                    assert list(_candidates(size, constraint)) == _reference_candidates(
-                        size, constraint)
+def test_masks_between_two_bounds_are_the_sorted_and_filtered_list():
+    # for every pair lower <= upper, the masks of each size between them, with
+    # their index in the class and their F-image, are the reference list's
+    # masks between them, each with its position
+    from iterroot.search import _masks
+    for size in range(1, 7):
+        fimgs = random_multifunction(size, seed=size).images
+        for total in (False, True):
+            for constraint in (RootConstraint(require_total_domain=total),
+                               max_out_degree(1, total), max_out_degree(2, total),
+                               max_in_degree(1, total)):
+                candidates = _reference_candidates(size, constraint)
+                first = {}  # size -> the position of its first mask in the class
+                for j, m in enumerate(candidates):
+                    first.setdefault(m.bit_count(), j)
+                for upper in range(1 << size):
+                    lower = upper
+                    while True:  # every subset of upper, the last one 0
+                        got = [entry for k in first if k >= lower.bit_count()
+                               for entry in _masks(upper, lower, k, first[k], 0, 0, fimgs)]
+                        assert got == [(j, m, union_of(fimgs, m))
+                                       for j, m in enumerate(candidates)
+                                       if not m & ~upper and not lower & ~m]
+                        if not lower:
+                            break
+                        lower = (lower - 1) & upper
 
 
 @pytest.mark.parametrize("make, n, constraint, outcome, nodes", [
