@@ -305,6 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # counts and bounds are exact integers of any length, which CPython 3.11 (and
+    # 3.10.7 on) would refuse to write past 4,300 digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

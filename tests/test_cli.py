@@ -187,6 +187,28 @@ def test_paths_counts_two_step_routes_into_hub(write, capsys):
     assert out.strip() == "4"
 
 
+def test_paths_prints_a_count_of_any_length(write, capsys):
+    # 2**15000 has 4,516 digits, past the 4,300 that CPython writes by default
+    path = write("k2.mfn", parse("points a b\na -> a b\nb -> a b\n"))
+    code, out, err = run(capsys, "paths", path, "--from", "a", "--to", "a,b", "--length", "15000")
+    assert (code, err) == (0, "")
+    assert out == f"{2**15000}\n"
+
+
+def test_check_prints_a_bound_of_any_length(write, capsys):
+    # N has 2,000 digits, so M*N^3 has 6,000
+    N = 10**2000 - 1
+    path = write("f1.mfn", f1(3))
+    code, out, err = run(capsys, "check", path, "--rule", "forward-paths", "--x0", "x0",
+                         "--N", str(N))
+    assert (code, err) == (1, "")
+    assert out == (f"rule forward-paths  x0=x0  M=1  N={N}\n"
+                   f"  Q=4  N_max=1  bound M*N^3={N**3}\n"
+                   "  conclusion: not-applicable (max-out-degree class)\n"
+                   "  failed hypotheses: Q_exceeds_MN3, class_membership, "
+                   "surjectivity_or_totality_extra\n")
+
+
 def test_fixedpoints_reports_profile_and_exclusions(write, capsys):
     f, _ = fig67()
     code, out, _ = run(capsys, "fixedpoints", write("f.mfn", f))

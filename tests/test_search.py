@@ -47,8 +47,7 @@ from iterroot.search import (
     max_in_degree,
     max_out_degree,
 )
-from multi_census import census as multi_census
-from single_census import census
+import census
 
 
 def test_identity_has_identity_square_root():
@@ -249,9 +248,9 @@ def test_a_ground_deeper_than_the_recursion_limit_is_refused(tmp_path):
     proc = _run_cli("search", str(path), "--order", "2")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: ground of 1200 points is deeper than the search can recurse\n"
-    # the same ground as a multifunction, with a budget of a million nodes: the
-    # candidate table grows only as far as the depths read, so the search reaches
-    # the recursion limit at once and in little memory
+    # the same ground as a multifunction, with a budget of a million nodes: each
+    # depth enumerates only the masks between its bounds as it reads them, so the
+    # search reaches the recursion limit at once and in little memory
     path = tmp_path / "identity1200-multi.mfn"
     path.write_text(made.stdout.replace("kind single\n", ""), encoding="utf-8")
     start = time.perf_counter()
@@ -768,8 +767,9 @@ def test_incremental_multi_search_explores_the_reference_nodes():
     classes = (UNCONSTRAINED, max_out_degree(2), max_in_degree(2),
                max_out_degree(2, require_total_domain=True))
     # the last 48 trials give 5-6 points budgets below their 32 or 64 candidates,
-    # of which the engine then builds only budget + 1; their planted roots are
-    # sparse, so that some are found within the budget
+    # so a search can stop partway through a depth's enumeration of the masks
+    # between its bounds; their planted roots are sparse, so that some are found
+    # within the budget
     for trial in range(288):
         cut = trial >= 240
         size = rng.randint(5, 6) if cut else rng.randint(2, 5)
@@ -1018,24 +1018,18 @@ def _partitions(total, largest):
 def test_every_small_map_keeps_its_outcome_witness_and_nodes():
     # every map of 1-5 points at orders 2-6, hashed result by result: any change
     # to an outcome or a witness changes the verdict digest, and any change to a
-    # node count the node digest.  CI runs the same census on the maps of up to 6
-    # points
-    assert census(5) == (
-        17_065, 756_520,
-        "e44e20ece6717e286dda708f6d6b22c58043104c800a84a64162ab0d2445367e",
-        "8172d27d3f69e893fe29dc30610c549d83dc03424f4893164352499a12ffd83b")
+    # node count the node digest.  CI runs the maps of up to 6 points
+    request = census.request("maps 5".split())
+    assert census.run(request) == census.PINNED[request]
 
 
 def test_every_small_multifunction_keeps_its_outcome_witness_and_nodes():
     # every multifunction on 3 points at orders 2-3, unconstrained, at out- or
-    # in-degree 1 and at out-degree 2 on a total domain, hashed result by result as
-    # the map census is.  CI runs every multifunction on 4 points at order 2,
-    # unconstrained
-    assert multi_census(3, (2, 3), (UNCONSTRAINED, max_out_degree(1), max_in_degree(1),
-                                    max_out_degree(2, require_total_domain=True))) == (
-        4_096, 110_588,
-        "a16d82a14907a1acd50fed2144b33dd643fac6881fc7e78d48c3cab83427ef75",
-        "6c3037a447e840797ee81f39388c4e6d19ff6a105aaf460fbb321e6e73a50ee0")
+    # in-degree 1 and at out-degree 2 on a total domain, hashed as the maps are.
+    # CI runs every multifunction on 4 points at order 2
+    request = census.request("multi 3 2 3 --class unconstrained --class max-out:1 "
+                             "--class max-in:1 --class max-out:2:total".split())
+    assert census.run(request) == census.PINNED[request]
 
 
 def test_a_refusal_by_the_periodic_cycle_type_is_exact():
