@@ -38,8 +38,7 @@ def _load(path: str) -> Multifunction | SingleMap:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_multifunction(path: str) -> Multifunction:
-    value = _load(path)
+def _multifunction(value: Multifunction | SingleMap) -> Multifunction:
     return value.as_multifunction() if isinstance(value, SingleMap) else value
 
 
@@ -74,7 +73,7 @@ def _print_certificate(ground, cert: Certificate) -> None:
 
 def cmd_check(args) -> int:
     from . import criteria
-    F = _load_multifunction(args.file)
+    F = _multifunction(_load(args.file))
     ground = F.ground
     if args.rule == "scan":
         if args.x0 is not None or args.N is not None:
@@ -104,7 +103,7 @@ def cmd_search(args) -> int:
     if isinstance(value, SingleMap) and args.max_out is None and args.max_in is None:
         result = search.find_single_root(value, args.order, budget=budget)
     else:
-        F = value.as_multifunction() if isinstance(value, SingleMap) else value
+        F = _multifunction(value)
         if args.max_out is not None:
             constraint = search.max_out_degree(args.max_out, args.total)
         elif args.max_in is not None:
@@ -156,7 +155,7 @@ def cmd_pullback(args) -> int:
 
 def cmd_paths(args) -> int:
     from .paths import count_paths
-    F = _load_multifunction(args.file)
+    F = _multifunction(_load(args.file))
     sources = [F.ground.index(lab) for lab in getattr(args, "from").split(",") if lab]
     targets = [F.ground.index(lab) for lab in args.to.split(",") if lab]
     print(count_paths(F, sources, targets, args.length))

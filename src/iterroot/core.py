@@ -41,10 +41,13 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def union_of(images: list[int] | tuple[int, ...], mask: int) -> int:
-    """The union of images[y] over the points y of mask."""
+    """The union of images[y] over the points y of mask, lowest bit first; no
+    ``bits`` generator, as the multi-map search's orbit walk runs it per step."""
     out = 0
-    for y in bits(mask):
-        out |= images[y]
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

@@ -201,7 +201,7 @@ def check_inverse_points(F: Multifunction, x0: int, M: int, N: int) -> Certifica
     return check_rule(F, Rule.INVERSE_POINTS, M, [x0], N)[0]
 
 
-RULE_ORDER = (Rule.FORWARD_PATHS, Rule.FORWARD_POINTS, Rule.INVERSE_PATHS, Rule.INVERSE_POINTS)
+RULE_ORDER = tuple(Rule)
 
 
 def minimal_N(F: Multifunction, rule: Rule | str, x0: int) -> int:

@@ -6,11 +6,13 @@ Grammar, one item per line, ``#`` starting a comment:
     kind single            optional, marks a single-valued map
     <label> -> <label>*    image of one source; empty right side = empty image
 
-A label is a nonempty run of characters other than whitespace and ``#``;
-``serialize`` refuses a ground set with any other label.  Sources without a
-line have empty images.  The canonical form preserves declaration order,
-orders targets by declaration, omits empty-image lines, uses LF endings and
-no trailing spaces.
+A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file read in text mode;
+the other breaks of ``str.splitlines``, such as ``\\f`` or U+2028, are
+whitespace.  A label is a nonempty run of characters other than whitespace
+and ``#``; ``serialize`` refuses a ground set with any other label.  Sources
+without a line have empty images.  The canonical form preserves declaration
+order, orders targets by declaration, omits empty-image lines, uses LF
+endings and no trailing spaces.
 
 ``parse`` collects each source's targets as indices and builds the value from
 these index lists (the rows of a multifunction, one index per point of a map),
@@ -39,7 +41,8 @@ def parse(text: str) -> Multifunction | SingleMap:
     targets: list[list[int] | None] = []  # None until the source's line
     index: dict[str, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue

@@ -243,11 +243,7 @@ def _multi_engine(F: Multifunction, n: int, constraint: RootConstraint,
                     break
             if cur & ~decided:
                 complete = False
-            m, cur = cur & decided, 0  # union_of inlined: this is the hottest loop
-            while m:
-                low = m & -m
-                cur |= imgs[low.bit_length() - 1]
-                m ^= low
+            cur = union_of(imgs, cur & decided)
         return cur == fimgs[x] if complete else not cur & ~fimgs[x]
 
     def rec(i: int) -> bool:
@@ -426,18 +422,6 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
         paths[length] = [0] * len(sizes)
         paths[length][1] = number
 
-    def walk(c: int, target: int) -> tuple[int, int, int]:
-        # c, whose least point is the depth, ends its path: that path's cycles and the
-        # sum of their offsets, then target's path's cycles, or 0 if it ends at c
-        a, offsets, x = 1, 0, c
-        while into[x] >= 0:
-            x, a = into[x], a + 1
-            offsets += pos[g[members[x][0]]]
-        b, depth = 1, members[c][0]
-        while members[target][0] < depth:
-            target, b = cycle_of[g[members[target][0]]], b + 1
-        return a, offsets, b if target != c else 0
-
     def move(counts: list[int], a: int, b: int, k: int) -> None:
         # k = -1 joins paths of a and b cycles (closes the one of a if b = 0); 1 undoes it
         counts[a] += k
@@ -445,28 +429,34 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             counts[b] += k
             counts[a + b] -= k
 
-    def link(c: int, v: int) -> bool:
-        # add the arc from c, whose least point takes the value v, if a root extends it
+    def link(c: int, v: int) -> tuple[list[int], int, int] | None:
+        # add the arc from c, whose least point takes the value v, if a root extends
+        # it, and return the paths it joined (move(*joined, 1) undoes that), else None
         target, length = cycle_of[v], len(members[c])
         if target < 0 or into[target] >= 0 or len(members[target]) != length:
-            return False
-        (a, offsets, b), counts = walk(c, target), paths[length]
-        if not b:  # the arc closes c's path into a loop, which g^n must turn by one
+            return None
+        # c, whose least point is the depth, ends a path of a cycles whose offsets sum
+        # to offsets, and target starts one of b cycles, which may end at c
+        a, offsets, x = 1, 0, c
+        while into[x] >= 0:
+            x, a = into[x], a + 1
+            offsets += pos[g[members[x][0]]]
+        b, x, depth = 1, target, members[c][0]
+        while members[x][0] < depth:
+            x, b = cycle_of[g[members[x][0]]], b + 1
+        counts = paths[length]
+        if x == c:  # the arc closes c's path into a loop, which g^n must turn by one
             if n % a or (offsets + pos[v]) * (n // a) % length != 1 % length:
-                return False
+                return None
+            b = 0  # move closes the path of a
         elif a + b >= len(counts):  # longer than any allowed loop
-            return False
+            return None
         move(counts, a, b, -1)
         if _packs(counts, up[length]):
             into[target] = c
-            return True
+            return counts, a, b
         move(counts, a, b, 1)
-        return False
-
-    def unlink(c: int, v: int) -> None:
-        into[cycle_of[v]] = -1
-        a, _, b = walk(c, cycle_of[v])
-        move(paths[len(members[c])], a, b, 1)
+        return None
 
     full = range(size)  # the values of a point that nothing pins
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
@@ -548,14 +538,15 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                         t -= 1
                     if cur != ends[t]:
                         continue
-                if least and not link(c, v):
+                if least and (joined := link(c, v)) is None:
                     continue
                 preds[v].append(i)
                 if rec(i + 1):
                     return True
                 preds[v].pop()
-                if least:
-                    unlink(c, v)
+                if least:  # undo the join link made
+                    into[cycle_of[v]] = -1
+                    move(*joined, 1)
         nodes += size - 1 - last
         if nodes > budget:
             raise _BudgetExceeded

@@ -343,9 +343,12 @@ def test_equals_distinguishes_edge_removal():
 
 def test_union_of_matches_the_naive_loop():
     rng = random.Random(5)
-    for size in range(1, 8):
+    grounds = [(size, range(1 << size)) for size in range(1, 8)]
+    # a wide mask, as compose and iterate send through the same loop
+    grounds.append((20_000, [1 << 19_999 | 0b1011]))
+    for size, masks in grounds:
         images = [rng.getrandbits(size) for _ in range(size)]
-        for mask in range(1 << size):
+        for mask in masks:
             expected = 0
             for y in range(size):
                 if mask >> y & 1:

@@ -54,6 +54,17 @@ def test_comments_and_blank_lines_ignored():
     assert F.rows[0] == (0, 1)
 
 
+def test_a_line_ends_only_at_lf_crlf_or_cr():
+    # the other breaks of str.splitlines are whitespace: \f between two targets,
+    # and U+2028 inside a comment, which hides the edge after it
+    texts = {"points a b c\na -> b\fc\n": ((1, 2), (), ()),
+             "points a b\n# a -> b was here\u2028a -> b\n": ((), ()),
+             "points a b\r\na -> b\rb -> a\n": ((1,), (0,))}
+    for text, rows in texts.items():
+        assert parse(text).rows == rows
+        assert parse_outcome(reference_parse, text) == parse_outcome(parse, text)
+
+
 def test_golden_fig67_g_round_trip():
     g = parse(FIG67_G_MFN)
     assert g == fig67()[1]
@@ -171,7 +182,8 @@ def reference_parse(text):
     images = []
     seen_sources = set()
     index = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
