@@ -24,6 +24,18 @@ built: when it rules out a root, the search explores 0 nodes, in time linear
 in the ground.  The arcs are kept in g, with one list of the cycle each arc
 enters; the test walks the new arc's path.
 
+The single-map search also skips all but one root of each orbit of f's
+automorphisms (lex-leader symmetry breaking: Crawford, Ginsberg, Luks & Roy,
+KR 1996).  If s f = f s, then s g s^-1 is a root whenever g is, so the least
+root is no larger than any of its conjugates.  A value is cut once the decided
+points show g > s g s^-1 in the search's order for a generator s, so the
+least root is never cut: witnesses and exhausted verdicts stay as they are,
+no node count rises, and a search that stops on its budget stopped on it
+before.  On a permutation the arc test is exact and nothing backtracks, so
+only a map with a point off its cycles reads its generators (_automorphisms)
+off the codes of its in-trees.  Each generator's comparison is kept from
+depth to depth and re-examined only at a point it moves, as i or as g(i).
+
 The checks are incremental.  Depth i is reached only after the points
 0..i-1 passed every check, and a check can change only if it involves the
 newly decided point i, so at depth i only these are re-checked:
@@ -376,24 +388,34 @@ def _packs(counts: list[int], up: list[int], total: int = 0, cap: int = 0) -> bo
     return False
 
 
-def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None, int]:
+def _structure(f: SingleMap, shapes: dict[tuple[int, ...], int]) -> tuple:
+    """(rows, tails, members, cycle_of, pos, code) of the map f, with no recursion.
+
+    rows[v] lists the points x with f(x) = v, ascending.  f's periodic points (its
+    fixed points are the 1-cycles) are what is left once the points no remaining
+    point maps to are peeled off; ``tails`` lists the others in the order they are
+    peeled, each after its preimages.  members[c] is the c-th f-cycle C from its
+    least point b, C[k] = f^k(b), and the point y = C[k] has cycle_of[y] = c and
+    pos[y] = k; cycle_of is -1 off the cycles.  code[x] is the AHU code (Aho,
+    Hopcroft & Ullman 1974) of the in-tree at x: x, and the points off the cycles
+    whose walk meets x before any other point on a cycle.  ``shapes`` maps the
+    sorted codes of x's preimages off the cycles to code[x], so two in-trees are
+    isomorphic iff their codes are equal; it starts as {(): 0}, the leaves' code,
+    and grows."""
     size = f.ground.size
     fv = f.image
-    # A root commutes with f, so it maps f's periodic points (its fixed points are the
-    # 1-cycles) onto them, each f-cycle onto one as long, and is a bijection there, as
-    # g^n = f is; a non-periodic point may go anywhere.  The periodic points are what
-    # is left once the points no remaining point maps to are peeled off
-    rows = invert(f).rows  # rows[v]: the points x with f(x) = v, ascending
+    rows = invert(f).rows
     hits = list(map(len, rows))  # hits[y]: how many points x not peeled off have f(x) = y
     tails = [x for x in range(size) if not hits[x]]
-    for x in tails:  # grows as it is read, and each point is peeled once
+    code = [0] * size
+    of = code.__getitem__
+    for x in tails:  # grows as it is read, and each point is peeled once, after its preimages
+        if rows[x]:
+            code[x] = shapes.setdefault(tuple(sorted(map(of, rows[x]))), len(shapes))
         hits[fv[x]] -= 1
         if not hits[fv[x]]:
             tails.append(fv[x])
-    # each f-cycle C as the list C[k] = f^k(b) from its least point b, and for each
-    # periodic point C[k], the index of C (else -1) and k
     members, cycle_of, pos = [], [-1] * size, [0] * size
-    cycles = {}  # length -> the number of f-cycles that long
     for x in range(size):
         if hits[x] and cycle_of[x] < 0:
             cycle, y = [x], fv[x]
@@ -402,8 +424,102 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                 y = fv[y]
             for k, y in enumerate(cycle):
                 cycle_of[y], pos[y] = len(members), k
+                if len(rows[y]) > 1:  # one preimage is on the cycle, and hits[] marks it
+                    code[y] = shapes.setdefault(
+                        tuple(sorted([code[z] for z in rows[y] if not hits[z]])), len(shapes))
             members.append(cycle)
-            cycles[len(cycle)] = cycles.get(len(cycle), 0) + 1
+    return rows, tails, members, cycle_of, pos, code
+
+
+def _least_rotation(seq: list[int]) -> tuple[int, int]:
+    """(r, p): the start r of the least rotation seq[r:] + seq[:r], and the least
+    p > 0 with seq[p:] + seq[:p] == seq, in linear time.  Of two starts i < j that
+    agree for k steps, the larger one at step k is not least, nor are the k starts
+    after it, so i + j + k grows at every step and every start below j but i is
+    ruled out.  If they agree for len(seq) steps, i is least, and j is the next
+    least start, as no least start is ever ruled out: so j - i is the period."""
+    length = len(seq)
+    i, j, k = 0, 1, 0
+    while j < length and k < length:
+        a, b = seq[(i + k) % length], seq[(j + k) % length]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return i, (j - i if k == length else length)
+
+
+def _automorphisms(fv: tuple[int, ...], rows: list, tails: list[int], members: list[list[int]],
+                   code: list[int]) -> list[dict[int, int]]:
+    """Generators of the automorphisms of the map fv (the permutations s with
+    s f = f s), read off the output of _structure, each as {x: s(x)} on the points
+    it moves.  Each maps in-trees onto isomorphic ones, pairing the preimages of
+    every point by their codes.  There are three kinds:
+
+    - the swap of two isomorphic in-trees, of at least two points each, at one image;
+    - the swap of two isomorphic components, each a cycle with its in-trees, whose
+      cycles are aligned at the least rotations of their codes;
+    - the rotation of a cycle by the least period of its codes, with its in-trees.
+
+    With the swaps of two sibling leaves, they generate the whole group: the
+    automorphisms that fix every cycle point are those of the in-trees, each
+    component can then turn by its period, and isomorphic components trade
+    places.  Each generator is checked against f."""
+    kids = {}  # each point's preimages off the cycles, by code
+    for y in sorted(tails, key=code.__getitem__):
+        kids.setdefault(fv[y], []).append(y)
+
+    def match(a: list[int], b: list[int]) -> dict[int, int]:  # a's in-trees onto b's
+        s, pairs = {}, list(zip(a, b))
+        for x, y in pairs:  # grows as it is read
+            s[x] = y
+            if x in kids:
+                pairs += zip(kids[x], kids.get(y, ()))
+        return s
+
+    generators = [match([y, z], [z, y]) for group in kids.values() if group[1:]
+                  for y, z in zip(group, group[1:]) if code[y] == code[z] != 0]
+    classes = {}  # the least rotation of a cycle's codes -> its cycles, rotated to it
+    for cycle in members:
+        if cycle[1:]:
+            codes = [code[x] for x in cycle]
+            r, p = _least_rotation(codes)
+            if p < len(cycle):
+                generators.append(match(cycle, cycle[p:] + cycle[:p]))
+            key, cycle = tuple(codes[r:] + codes[:r]), cycle[r:] + cycle[:r]
+        else:  # a fixed point
+            key = code[cycle[0]]
+        classes.setdefault(key, []).append(cycle)
+    for aligned in classes.values():
+        if aligned[1:]:
+            generators += (match(a + b, b + a) for a, b in zip(aligned, aligned[1:]))
+    for s in generators:  # a permutation of its support that commutes with f there, and
+        # f maps no other point into the support: as many points map into it as lie in it
+        inside = 0
+        for x, y in s.items():
+            fx = fv[x]
+            if fv[y] != s.get(fx, fx):
+                raise RuntimeError("an automorphism generator does not commute with the map")
+            inside += fx in s
+        if s.keys() != set(s.values()) or sum(map(len, map(rows.__getitem__, s))) != inside:
+            raise RuntimeError("an automorphism generator does not permute a set of in-trees")
+    return generators
+
+
+def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None, int]:
+    size = f.ground.size
+    fv = f.image
+    # A root commutes with f, so it maps f's periodic points onto them, each f-cycle
+    # onto one as long, and is a bijection there, as g^n = f is; a non-periodic point
+    # may go anywhere
+    rows, tails, members, cycle_of, pos, code = _structure(f, {(): 0})
+    cycles = {}  # length -> the number of f-cycles that long
+    for cycle in members:
+        cycles[len(cycle)] = cycles.get(len(cycle), 0) + 1
     if _failing_cycle_length(cycles, n) is not None:
         return None, 0
     # the arcs chosen so far form paths and loops of l-cycles (see the module
@@ -457,6 +573,52 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
             return counts, a, b
         move(counts, a, b, 1)
         return None
+
+    # Symmetry: for an automorphism s of f, s g s^-1 is a root whenever g is, so the
+    # least root is no larger than it.  For each generator s (a permutation has none,
+    # as its arc test is exact), at[k] records how g on the decided points compares
+    # with h = s g s^-1, h(p) = s(g(s^-1(p))), from point 0 on: -1 while they are
+    # equal, p >= 0 when they are equal before p and s^-1(p) is undecided, -2 once g
+    # is smaller.  Only a point of s's support, as i or as g(i), can change that
+    sigmas = _automorphisms(fv, rows, tails, members, code) if tails else []
+    inverses = [{y: x for x, y in s.items()} for s in sigmas]
+    at = [-1] * len(sigmas)
+    near = [()] * size if sigmas else None  # near[x]: the generators that move x
+    for k, s in enumerate(sigmas):
+        for x in s:
+            near[x] += (k,)
+
+    def settle(i: int, ks: tuple[int, ...]) -> list[tuple[int, int]] | None:
+        # advance the comparison of each generator in ks at depth i, and return the
+        # states it changed, or None, with them restored, once g > s g s^-1
+        changed = []
+        for k in ks:
+            p = q = at[k]
+            if p == -1:
+                q = i
+            elif p < 0 or inverses[k][p] != i:
+                continue
+            s, t = sigmas[k], inverses[k]
+            while q <= i:
+                r = t.get(q, q)
+                if r > i:
+                    break
+                a, b = g[q], g[r]
+                b = s.get(b, b)
+                if a != b:
+                    if a < b:
+                        q = -2
+                        break
+                    for k, p in changed:
+                        at[k] = p
+                    return None
+                q += 1
+            else:
+                q = -1
+            if q != p:
+                changed.append((k, p))
+                at[k] = q
+        return changed
 
     full = range(size)  # the values of a point that nothing pins
     levels = range(1, n)  # the reverse walk's levels 1..n-1, one range for every depth
@@ -540,10 +702,14 @@ def _single_engine(f: SingleMap, n: int, budget: int) -> tuple[SingleMap | None,
                         continue
                 if least and (joined := link(c, v)) is None:
                     continue
-                preds[v].append(i)
-                if rec(i + 1):
-                    return True
-                preds[v].pop()
+                if not near or (changed := settle(i, near[i] + near[v])) is not None:
+                    preds[v].append(i)
+                    if rec(i + 1):
+                        return True
+                    preds[v].pop()
+                    if near:
+                        for k, p in changed:  # each generator once, so in any order
+                            at[k] = p
                 if least:  # undo the join link made
                     into[cycle_of[v]] = -1
                     move(*joined, 1)

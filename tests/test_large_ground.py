@@ -1,5 +1,6 @@
-"""``check``, ``invert`` and ``pullback`` of a 200,000-point map, and a one-node
-``search`` of a 200,000-cycle, each in a process capped at 1 GiB of address space.
+"""``check``, ``invert`` and ``pullback`` of a 200,000-point map, and one-node
+``search``es of a 200,000-cycle, alone and with one point off it, each in a
+process capped at 1 GiB of address space.
 
 Size-bit image masks made these commands quadratic: at 100,000 points ``check``
 took 1.2 GB, and the search of the 200,000-cycle ran out of memory under the cap.
@@ -75,6 +76,22 @@ def test_search_of_a_large_cycle_reaches_its_budget_in_bounded_memory(tmp_path):
     assert made.returncode == 0 and not made.stderr, made.stderr
     path = tmp_path / "cycle.mfn"
     path.write_text(made.stdout, encoding="utf-8")
+    proc = _run("search", str(path), "--order", "3", "--budget", "1", "--json")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == ('{\n  "nodes_explored": "1",\n  "order": 3,\n'
+                           '  "outcome": "budget",\n  "witness": null\n}\n')
+
+
+def test_search_of_a_large_cycle_with_a_tail_reads_its_symmetries_in_bounded_memory(tmp_path):
+    # one point mapped onto the 200,000-cycle gives the map a point off its cycles,
+    # so the search reads the AHU codes of its in-trees and the least rotation of
+    # the cycle's codes, which must stay linear, before it explores its one node
+    made = _run("instance", "cyclic-power", "--modulus", str(SIZE), "--exponent", "7")
+    assert made.returncode == 0 and not made.stderr, made.stderr
+    header, kind, *edges = made.stdout.splitlines()
+    path = tmp_path / "tailed-cycle.mfn"
+    path.write_text("\n".join([header + " tail", kind, *edges, "tail -> 0"]) + "\n",
+                    encoding="utf-8")
     proc = _run("search", str(path), "--order", "3", "--budget", "1", "--json")
     assert (proc.returncode, proc.stderr) == (3, "")
     assert proc.stdout == ('{\n  "nodes_explored": "1",\n  "order": 3,\n'

@@ -298,12 +298,13 @@ _EXHAUSTED_AT_10_7 = {"order": 10_000_000, "outcome": "exhausted", "witness": No
 
 @pytest.mark.parametrize("instance, extra, code, verdict", [
     # x -> 2x mod 8 has one periodic point, the fixed point 0, so its cycle type
-    # settles nothing and the single-map search walks; the 13-cycle x -> x + 2 mod
+    # settles nothing and the single-map search walks, cutting by the swap of the
+    # isomorphic in-trees at 2 and 6 (280 nodes without it); the 13-cycle x -> x + 2 mod
     # 13 passes its cycle-type test, and the arc test at 0 takes 8, the least value
     # a root can take there, which fixes the root x -> x + 8 in 13 * 7 nodes; the
     # 5-cycle x -> x + 2 mod 5 goes to the multi-map search
     (("--modulus", "8", "--exponent", "2", "--variant", "mul"), (), 1,
-     {**_EXHAUSTED_AT_10_7, "nodes_explored": "280"}),
+     {**_EXHAUSTED_AT_10_7, "nodes_explored": "200"}),
     (("--modulus", "13", "--exponent", "2"), (), 0,
      {"order": 10_000_000, "outcome": "witness", "nodes_explored": "91",
       "witness": "points 0 1 2 3 4 5 6 7 8 9 10 11 12\nkind single\n"
@@ -363,9 +364,9 @@ def test_single_and_multi_search_agree_on_total_maps():
     # single-map engine's outcome, node count and witness; a small budget on every
     # fourth request checks where both stop.  Only the single-map engine prunes by
     # the cycle type of f's periodic points, and that pruning is commutation alone
-    # when the one periodic point is a fixed point; with more of them it may explore
-    # fewer nodes, and the multi-map engine checks its outcome and witness where it
-    # decides
+    # when the one periodic point is a fixed point; with more of them, or when f
+    # has automorphisms, whose orbits it cuts, it may explore fewer nodes, and the
+    # multi-map engine checks its outcome and witness where it decides
     rng = random.Random(20261019)
     for trial in range(400):
         size, n = rng.randint(3, 8), rng.randint(2, 4)
@@ -376,7 +377,7 @@ def test_single_and_multi_search_agree_on_total_maps():
         single = find_single_root(f, n, budget=budget)
         multi = find_multi_root(f.as_multifunction(), n,
                                 max_out_degree(1, require_total_domain=True), budget=budget)
-        if len(_periodic_part(f)[0]) == 1:
+        if len(_periodic_part(f)[0]) == 1 and not _generators(f):
             assert single.nodes_explored == multi.nodes_explored, (f.image, n)
         else:
             assert single.nodes_explored <= multi.nodes_explored, (f.image, n)
@@ -618,16 +619,41 @@ def _arcs_extend(cycles, where, g, i, n):
                for length, counts in paths.items())
 
 
+def _generators(f):
+    """The automorphism generators the single-map engine reads off f, which it
+    builds only when f has a point off its cycles."""
+    from iterroot.search import _automorphisms, _structure
+    rows, tails, members, _, _, code = _structure(f, {(): 0})
+    return _automorphisms(f.image, rows, tails, members, code) if tails else []
+
+
+def _exceeds(g, s, i):
+    """Whether g on the points 0..i already proves g > s g s^-1 in the search's
+    order, compared from point 0: h(p) = s(g(s^-1(p))) is known once s^-1(p) <= i."""
+    inverse = {y: x for x, y in s.items()}
+    for p in range(i + 1):
+        r = inverse.get(p, p)
+        if r > i:
+            return False
+        h = s.get(g[r], g[r])
+        if g[p] != h:
+            return g[p] > h
+    return False
+
+
 def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
     """(outcome, nodes, witness image) of the full-rescan single-map searcher;
     ``visit(g, i)`` is called at each depth i < size that the search reaches.
-    ``filtered`` gives it the pruning the single-map engine has on f's periodic
-    points: no search at all when their cycle type rules out a root, and at
-    each node of a periodic point, the test that the decided part of g on them
-    still extends to a root there (_arcs_extend)."""
+    ``filtered`` gives it the pruning the single-map engine has: no search at
+    all when the cycle type of f's periodic points rules out a root; at each
+    node of a periodic point, the test that the decided part of g on them still
+    extends to a root there (_arcs_extend); and at every node, the cut of a
+    value once g > s g s^-1 for one of the engine's automorphism generators s,
+    re-compared from point 0 (_exceeds)."""
     size = f.ground.size
     lengths = {}  # the periodic points' cycle lengths, when filtered
     cycles, where = [], {}
+    sigmas = _generators(f) if filtered else []
     if filtered:
         lengths, perm = _periodic_part(f)
         if not _has_root_by_cycle_type(perm, n):
@@ -654,6 +680,8 @@ def _reference_single(f, n, budget=DEFAULT_BUDGET, visit=None, filtered=True):
                 raise _ReferenceBudgetExceeded
             g[i] = v
             if i in lengths and not _arcs_extend(cycles, where, g, i, n):
+                continue
+            if any(_exceeds(g, sigma, i) for sigma in sigmas):
                 continue
             if _reference_map_consistent(g, i, f.image, n) and rec(i + 1):
                 return True
@@ -815,8 +843,11 @@ def test_masks_between_two_bounds_are_the_sorted_and_filtered_list():
 
 
 @pytest.mark.parametrize("make, n, constraint, outcome, nodes", [
-    (lambda: fig67()[0], 4, None, "witness", 115_818),
-    (lambda: fig67()[0], 5, None, "exhausted", 5_400),
+    # fig67 is four isomorphic components, so the search cuts every value that
+    # makes g larger than s g s^-1 for one of its 7 automorphism generators s
+    # (115,818 and 5,400 nodes without the cut; order 3 is the last row)
+    (lambda: fig67()[0], 4, None, "witness", 12_998),
+    (lambda: fig67()[0], 5, None, "exhausted", 980),
     (lambda: f1(3), 2, max_out_degree(2, require_total_domain=True), "exhausted", 6_864),
     (lambda: f1(4), 2, max_out_degree(2, require_total_domain=True), "exhausted", 18_840),
     (lambda: f2(2), 2, max_out_degree(2, require_total_domain=True), "exhausted", 17_358),
@@ -833,6 +864,8 @@ def test_masks_between_two_bounds_are_the_sorted_and_filtered_list():
     # a permutation's search never backtracks, so a 901-cycle's square root
     # costs 901 * 902 / 2 nodes, one value per point up to the root's
     (lambda: cyclic_power(901, 1, "add"), 2, None, "witness", 406_351),
+    # the cut settles fig67 at order 3 in 18,560 nodes, which took 480,020
+    (lambda: fig67()[0], 3, None, "exhausted", 18_560),
 ])
 def test_node_counts_on_named_instances(make, n, constraint, outcome, nodes):
     target = make()
@@ -1030,6 +1063,94 @@ def test_every_small_multifunction_keeps_its_outcome_witness_and_nodes():
     request = census.request("multi 3 2 3 --class unconstrained --class max-out:1 "
                              "--class max-in:1 --class max-out:2:total".split())
     assert census.run(request) == census.PINNED[request]
+
+
+def _closure_order(generators, size):
+    """The order of the group of permutations of range(size) that ``generators``
+    (tuples s, x -> s[x]) generate, by closing the identity under them."""
+    seen = frontier = {tuple(range(size))}
+    while frontier:
+        frontier = {tuple(s[x] for x in p) for p in frontier for s in generators} - seen
+        seen = seen | frontier
+    return len(seen)
+
+
+def test_the_automorphism_generators_generate_every_automorphism():
+    # on every map of up to 5 points, each generator the search reads off the map
+    # commutes with it, and together with the swaps of two sibling leaves (two
+    # points that nothing maps to, with one image), which the search leaves out,
+    # they generate every permutation s with s f = f s, counted over all s!
+    from iterroot.search import _automorphisms, _structure
+    symmetric = 0
+    for size in range(1, 6):
+        ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+        perms = list(itertools.permutations(range(size)))
+        for image in itertools.product(range(size), repeat=size):
+            rows, tails, members, _, _, code = _structure(SingleMap(ground, image), {(): 0})
+            generators = [tuple(s.get(x, x) for x in range(size))
+                          for s in _automorphisms(image, rows, tails, members, code)]
+            for s in generators:
+                assert all(s[image[x]] == image[s[x]] for x in range(size)), (image, s)
+                assert s != tuple(range(size)), image
+            symmetric += bool(generators)
+            for y in range(size):
+                leaves = [x for x in rows[y] if not rows[x]]
+                for a, b in zip(leaves, leaves[1:]):
+                    s = list(range(size))
+                    s[a], s[b] = b, a
+                    generators.append(tuple(s))
+            order = sum(all(s[image[x]] == image[s[x]] for x in range(size)) for s in perms)
+            assert _closure_order(generators, size) == order, image
+    assert symmetric > 500, symmetric
+
+
+def test_a_generator_that_is_no_automorphism_is_refused(monkeypatch):
+    # each generator is checked against f by a test that python -O keeps: a wrong
+    # period turns the 2-cycle a <-> b, whose points carry in-trees of different
+    # shapes (c -> a), by one step, which maps c's image into the support but not c
+    from iterroot import search
+    f = SingleMap(GroundSet(("a", "b", "c")), (1, 0, 0))
+    assert find_single_root(f, 3).found  # f is a cube root of itself
+    monkeypatch.setattr(search, "_least_rotation", lambda seq: (0, 1))
+    with pytest.raises(RuntimeError, match="does not permute a set of in-trees"):
+        find_single_root(f, 3)
+
+
+def test_component_codes_count_the_isomorphism_classes_of_small_maps():
+    # a component's code is the least rotation of its cycle's in-tree codes, and a
+    # map's the sorted list of its components': on maps of 1-6 points there are as
+    # many distinct codes as isomorphism classes of maps (OEIS A001372).  One
+    # ``shapes`` table serves every map, so that codes compare across maps
+    from iterroot.search import _least_rotation, _structure
+    shapes = {(): 0}
+    for size, classes in zip(range(1, 7), (1, 3, 7, 19, 47, 130)):
+        ground = GroundSet(tuple(f"p{i}" for i in range(size)))
+        forms = set()
+        for image in itertools.product(range(size), repeat=size):
+            _, _, members, _, _, code = _structure(SingleMap(ground, image), shapes)
+            keys = []
+            for cycle in members:
+                codes = [code[x] for x in cycle]
+                r = _least_rotation(codes)[0]
+                keys.append(tuple(codes[r:] + codes[:r]))
+            forms.add(tuple(sorted(keys)))
+        assert len(forms) == classes, size
+
+
+def test_the_least_rotation_and_period_match_every_rotation():
+    # against the minimum over all rotations, and the first rotation that returns
+    # the sequence to itself, on every sequence of up to 9 values from 3 and on
+    # powers of short words
+    from iterroot.search import _least_rotation
+    rng = random.Random(20261101)
+    words = [list(w) for length in range(1, 10) for w in itertools.product(range(3), repeat=length)]
+    words += [[rng.randrange(3) for _ in range(rng.randint(1, 5))] * rng.randint(2, 6)
+              for _ in range(2_000)]
+    for seq in words:
+        rotations = [seq[r:] + seq[:r] for r in range(len(seq))]
+        least = min(rotations)
+        assert _least_rotation(seq) == (rotations.index(least), rotations[1:].index(seq) + 1
+                                        if seq in rotations[1:] else len(seq)), seq
 
 
 def test_a_refusal_by_the_periodic_cycle_type_is_exact():
